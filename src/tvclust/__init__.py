@@ -42,7 +42,6 @@ from .models import (
     binary_responsibilities,
     load_model,
     log_density_iso,
-    log_joint_general,
     log_joints,
     logsumexp,
     model_from_snapshot,
@@ -56,7 +55,6 @@ from .truncation import (
     TruncationState,
     lazy_reassign,
     select_nearest,
-    sigma_pi_score,
     sigma_pi_scores,
     truncated_responsibilities,
 )

@@ -88,9 +88,7 @@ def objective_j(dataset, assignments, means):
     that J = D * N * sigma2 also holds for non-binary posteriors.
     """
     points = _points_of(dataset)
-    means = np.asarray(means, dtype=np.float64)
-    if means.ndim == 1:
-        means = means[:, None]
+    means = _points_of(means)
     resp = _as_responsibilities(assignments, means.shape[0])
     diff = points[:, None, :] - means[resp.support]
     sq = np.einsum("nkd,nkd->nk", diff, diff)
@@ -171,9 +169,7 @@ def appendix_forms(dataset, assignments, means, c):
     The bound L >= F holds because the gap is nonnegative.
     """
     points = _points_of(dataset)
-    means = np.asarray(means, dtype=np.float64)
-    if means.ndim == 1:
-        means = means[:, None]
+    means = _points_of(means)
     resp = _as_responsibilities(assignments, means.shape[0])
     n, d = points.shape
     j = objective_j(points, resp, means)

@@ -1,17 +1,21 @@
 """Seeding, M-steps, iteration kernels, and the convergence loop.
 
-Five algorithms share one loop:
+Each algorithm pairs a selection rule, which picks every point's
+truncation set K^(n) (the E-step), with the M-step of one model family:
 
-* ``kmeans``: nearest-center hard assignment, mean update; the shared
-  variance is still updated each iteration (it never feeds back into the
-  mean path, whose updates are variance-independent for singleton sets).
-* ``kmeans_cprime``: nearest-C' truncation sets, sparse posteriors, mean
-  and variance updates.
-* ``lazy_kmeans``: carried singleton sets updated by the lazy rule,
-  otherwise the k-means updates.
-* ``em_gmm``: exact EM for the general weighted mixture.
-* ``sigma_pi``: hard assignment by the weight/covariance-aware score,
-  general-model M-step driven by those hard assignments.
+    algorithm       selection rule                        M-step family
+    kmeans          nearest center                        isotropic
+    kmeans_cprime   nearest C' centers                    isotropic
+    lazy_kmeans     lazy switch of a carried singleton    isotropic
+    em_gmm          none (exact posteriors)               general
+    sigma_pi        singleton at the score argmin         general
+
+k-means still updates the shared variance each iteration; it never feeds
+back into the mean path, whose updates are variance-independent for
+singleton sets.  Every kernel ``run`` drives returns ``(state, resp,
+model, events)``: the truncation sets (None for exact EM), the posteriors,
+the new model and any reseed events, so ``run`` has one dispatch and
+records every iteration through one path.
 
 A run converges once the truncation sets (or hard shadow labels for exact
 EM) stop changing and the largest relative parameter change drops below
@@ -23,7 +27,7 @@ they are flagged in the record).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -93,16 +97,7 @@ class RunConfig:
             raise ConfigurationError("tol must be >= 0")
 
     def to_dict(self):
-        return {
-            "algorithm": self.algorithm,
-            "c": self.c,
-            "c_prime": self.c_prime,
-            "epsilon": self.epsilon,
-            "seeding": self.seeding,
-            "max_iters": self.max_iters,
-            "tol": self.tol,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -137,7 +132,8 @@ def seed_dsquared(dataset, c, rng, initial=None):
     center is a data point drawn with probability proportional to its
     squared distance to the nearest center chosen so far.  If all remaining
     mass is zero (duplicate data), falls back to a uniform draw among the
-    indices not yet chosen.
+    indices not yet chosen.  Raises ``NumericError`` if the squared
+    distances overflow, so the mass is not finite.
     """
     points = _points_of(dataset)
     n = points.shape[0]
@@ -148,6 +144,8 @@ def seed_dsquared(dataset, c, rng, initial=None):
     min_d2 = squared_distances(points, points[chosen[:1]])[:, 0]
     for k in range(1, c):
         total = float(min_d2.sum())
+        if not np.isfinite(total):
+            raise NumericError(f"seeding mass {total} is not finite (overflow)")
         if total > 0.0:
             idx = int(rng.choice(n, p=min_d2 / total))
         else:
@@ -164,35 +162,17 @@ def seed_dsquared(dataset, c, rng, initial=None):
 # M-steps
 
 
-def _weighted_means(points, resp):
-    n, d = points.shape
-    c = resp.n_clusters
-    mass = np.zeros(c)
-    np.add.at(mass, resp.support.ravel(), resp.weights.ravel())
-    wsum = np.zeros((c, d))
-    contrib = (resp.weights[:, :, None] * points[:, None, :]).reshape(-1, d)
-    np.add.at(wsum, resp.support.ravel(), contrib)
-    means = np.zeros((c, d))
-    nonempty = mass > 0.0
-    means[nonempty] = wsum[nonempty] / mass[nonempty, None]
-    return means, mass
+def _worst_fit(points, resp, means, empty):
+    """Move the ``empty`` clusters' means onto the worst-fit data points.
 
-
-def _reseed_empty_means(points, resp, means, mass):
-    """Move zero-mass cluster means to the worst-fit data points.
-
-    The k-th empty cluster lands on the k-th largest distance between a
-    point and its currently assigned (new) center.  Zero-mass clusters sit
-    outside every truncation set, so this move leaves the recorded free
-    energy of the isotropic models untouched.
+    The k-th empty cluster lands on the point with the k-th largest
+    distance to its currently assigned (new) center.  Returns the new means
+    and one event per move.
     """
-    empty = np.flatnonzero(mass == 0.0)
     if empty.size == 0:
         return means, []
-    labels = resp.hard_labels()
-    diff = points - means[labels]
-    dist = np.einsum("nd,nd->n", diff, diff)
-    order = np.argsort(-dist, kind="stable")
+    diff = points - means[resp.hard_labels()]
+    order = np.argsort(-np.einsum("nd,nd->n", diff, diff), kind="stable")
     means = means.copy()
     events = []
     for k, cl in enumerate(empty):
@@ -202,20 +182,36 @@ def _reseed_empty_means(points, resp, means, mass):
     return means, events
 
 
+def _iso_means(points, resp):
+    """Weighted means, with zero-mass clusters reseeded by ``_worst_fit``.
+
+    Zero-mass clusters sit outside every truncation set, so the reseed
+    leaves the recorded free energy of the isotropic models untouched.
+    """
+    d = points.shape[1]
+    c = resp.n_clusters
+    mass = np.zeros(c)
+    np.add.at(mass, resp.support.ravel(), resp.weights.ravel())
+    wsum = np.zeros((c, d))
+    contrib = (resp.weights[:, :, None] * points[:, None, :]).reshape(-1, d)
+    np.add.at(wsum, resp.support.ravel(), contrib)
+    means = np.zeros((c, d))
+    nonempty = mass > 0.0
+    means[nonempty] = wsum[nonempty] / mass[nonempty, None]
+    return _worst_fit(points, resp, means, np.flatnonzero(~nonempty))
+
+
 def m_step_iso(dataset, resp):
     """Weighted mean update, then the shared-variance update with new means.
 
-    sigma2 = (1/(D N)) sum_n sum_c q_c^(n) |y^(n) - mu_c^new|^2, clamped at
-    the data-derived floor.  Returns the model and any reseed events.
+    sigma2 = (1/(D N)) sum_n sum_c q_c^(n) |y^(n) - mu_c^new|^2 = J/(D N),
+    clamped at the data-derived floor.  Returns the model and any reseed
+    events.
     """
     points = _points_of(dataset)
     n, d = points.shape
-    means, mass = _weighted_means(points, resp)
-    means, events = _reseed_empty_means(points, resp, means, mass)
-    diff = points[:, None, :] - means[resp.support]
-    sq = np.einsum("nkd,nkd->nk", diff, diff)
-    sigma2 = float(np.sum(resp.weights * sq)) / (d * n)
-    sigma2 = max(sigma2, sigma2_floor(points))
+    means, events = _iso_means(points, resp)
+    sigma2 = max(objective_j(points, resp, means) / (d * n), sigma2_floor(points))
     return IsotropicGMM(means, sigma2), events
 
 
@@ -250,34 +246,25 @@ def m_step_general(dataset, resp):
     return GeneralGMM(weights, means, covs)
 
 
-def _revive_empty_general(points, resp, model, prev):
-    """Reseed zero-weight clusters of a general-model M-step output.
+def _m_step_general_revived(points, resp, prev):
+    """``m_step_general``, then revive its zero-weight clusters.
 
-    The revived cluster is centered on the worst-fit point, keeps its
-    previous covariance, and receives weight 1/N (other weights rescaled).
-    Unlike the isotropic case this rescaling can lower the recorded free
-    energy, so the event is always traced.
+    A revived cluster is centered on a worst-fit point, keeps its covariance
+    from ``prev``, and receives weight 1/N (other weights rescaled).  Unlike
+    the isotropic case this rescaling can lower the recorded free energy,
+    so the event is always traced.
     """
+    model = m_step_general(points, resp)
     empty = np.flatnonzero(model.weights == 0.0)
     if empty.size == 0:
         return model, []
-    labels = resp.hard_labels()
-    diff = points - model.means[labels]
-    dist = np.einsum("nd,nd->n", diff, diff)
-    order = np.argsort(-dist, kind="stable")
     n = points.shape[0]
-    means = model.means.copy()
+    means, events = _worst_fit(points, resp, model.means, empty)
     covs = model.covs.copy()
+    covs[empty] = prev.covs[empty]
     weights = model.weights * (1.0 - empty.size / n)
-    events = []
-    for k, cl in enumerate(empty):
-        idx = int(order[min(k, order.size - 1)])
-        means[cl] = points[idx]
-        covs[cl] = prev.covs[cl]
-        weights[cl] = 1.0 / n
-        events.append(f"reseeded empty cluster {cl} at point {idx}")
-    weights = weights / weights.sum()
-    return GeneralGMM(weights, means, covs), events
+    weights[empty] = 1.0 / n
+    return GeneralGMM(weights / weights.sum(), means, covs), events
 
 
 # ---------------------------------------------------------------------------
@@ -291,13 +278,10 @@ def kmeans_step(dataset, means):
     assignments, the new means, and any reseed events.
     """
     points = _points_of(dataset)
-    means = np.asarray(means, dtype=np.float64)
-    if means.ndim == 1:
-        means = means[:, None]
+    means = _points_of(means)
     state = select_nearest(points, means, 1)
     resp = binary_responsibilities(state.sets[:, 0], means.shape[0])
-    new_means, mass = _weighted_means(points, resp)
-    new_means, events = _reseed_empty_means(points, resp, new_means, mass)
+    new_means, events = _iso_means(points, resp)
     return resp, new_means, events
 
 
@@ -323,12 +307,18 @@ def lazy_step(dataset, model, epsilon, state):
 
 
 def em_gmm_step(dataset, model):
-    """One exact EM iteration for the general weighted mixture."""
+    """One exact EM iteration for the general weighted mixture (state None)."""
     points = _points_of(dataset)
     resp = responsibilities_exact(points, model)
-    new_model = m_step_general(points, resp)
-    new_model, events = _revive_empty_general(points, resp, new_model, model)
-    return resp, new_model, events
+    new_model, events = _m_step_general_revived(points, resp, model)
+    return None, resp, new_model, events
+
+
+def _score_argmin(points, model):
+    """Singleton sets at each point's minimal score, and their binary posteriors."""
+    labels = np.argmin(sigma_pi_scores(points, model), axis=1)
+    resp = binary_responsibilities(labels, model.c)
+    return TruncationState(labels[:, None], 1), resp
 
 
 def sigma_pi_step(dataset, model):
@@ -339,11 +329,9 @@ def sigma_pi_step(dataset, model):
     nearest-center rule.
     """
     points = _points_of(dataset)
-    labels = np.argmin(sigma_pi_scores(points, model), axis=1)
-    resp = binary_responsibilities(labels, model.c)
-    new_model = m_step_general(points, resp)
-    new_model, events = _revive_empty_general(points, resp, new_model, model)
-    return resp, new_model, events
+    state, resp = _score_argmin(points, model)
+    new_model, events = _m_step_general_revived(points, resp, model)
+    return state, resp, new_model, events
 
 
 # ---------------------------------------------------------------------------
@@ -372,61 +360,45 @@ def _count_changed(old_state, old_resp, new_state, new_resp):
     )
 
 
-def _record(iteration, dataset, algorithm, model, resp, state, n_changed, events):
-    points = _points_of(dataset)
+def _record(iteration, points, model, resp, state, n_changed, events):
     n, d = points.shape
     j = objective_j(points, resp, model.means)
-    if isinstance(model, IsotropicGMM):
-        sigma2 = model.sigma2
-        f = free_energy_trunc(points, model, state)
-        ll = log_likelihood(points, model)
-    elif algorithm == "em_gmm":
-        sigma2 = j / (d * n)
-        ll = log_likelihood(points, model)
-        f = ll
-    else:
-        sigma2 = j / (d * n)
-        f = free_energy_trunc(points, model, state)
-        ll = log_likelihood(points, model)
+    ll = log_likelihood(points, model)
+    f = ll if state is None else free_energy_trunc(points, model, state)
     return TraceRecord(
         iteration=iteration,
         J=j,
         F=f,
         L=ll,
         gap=ll - f,
-        sigma2=sigma2,
+        sigma2=model.sigma2 if isinstance(model, IsotropicGMM) else j / (d * n),
         n_changed=n_changed,
         events=list(events),
     )
 
 
-def _initial_state(dataset, config, rng):
-    points = _points_of(dataset)
+def _initial_state(points, config, rng):
     n, d = points.shape
-    if config.seeding == "uniform":
-        means0 = seed_uniform(points, config.c, rng)
-    else:
-        means0 = seed_dsquared(points, config.c, rng)
+    seed = seed_uniform if config.seeding == "uniform" else seed_dsquared
+    means0 = seed(points, config.c, rng)
     nearest1 = select_nearest(points, means0, 1)
-    hard0 = binary_responsibilities(nearest1.sets[:, 0], config.c)
     sigma2_0 = max(
-        objective_j(points, hard0, means0) / (d * n), sigma2_floor(points)
+        objective_j(points, nearest1.sets[:, 0], means0) / (d * n),
+        sigma2_floor(points),
     )
-    if config.algorithm in ("kmeans", "kmeans_cprime", "lazy_kmeans"):
-        cp = config.c_prime if config.algorithm == "kmeans_cprime" else 1
-        model = IsotropicGMM(means0, sigma2_0)
-        state = nearest1 if cp == 1 else select_nearest(points, means0, cp)
-        resp = truncated_responsibilities(points, model, state)
+    if not np.isfinite(sigma2_0):
+        raise NumericError(f"initial sigma2 {sigma2_0} is not finite (overflow)")
+    if config.algorithm in ("em_gmm", "sigma_pi"):
+        covs0 = np.broadcast_to(sigma2_0 * np.eye(d), (config.c, d, d)).copy()
+        model = GeneralGMM(np.full(config.c, 1.0 / config.c), means0, covs0)
+        if config.algorithm == "em_gmm":
+            return model, responsibilities_exact(points, model), None
+        state, resp = _score_argmin(points, model)
         return model, resp, state
-    covs0 = np.broadcast_to(sigma2_0 * np.eye(d), (config.c, d, d)).copy()
-    model = GeneralGMM(np.full(config.c, 1.0 / config.c), means0, covs0)
-    if config.algorithm == "sigma_pi":
-        labels = np.argmin(sigma_pi_scores(points, model), axis=1)
-        state = TruncationState(labels[:, None], 1)
-        resp = binary_responsibilities(labels, config.c)
-        return model, resp, state
-    resp = responsibilities_exact(points, model)
-    return model, resp, None
+    cp = config.c_prime or 1
+    model = IsotropicGMM(means0, sigma2_0)
+    state = nearest1 if cp == 1 else select_nearest(points, means0, cp)
+    return model, truncated_responsibilities(points, model, state), state
 
 
 def run(dataset, config):
@@ -434,7 +406,8 @@ def run(dataset, config):
 
     Deterministic given (dataset, config).  The trace holds one record per
     iteration plus an initial record for the seeded state; numeric failures
-    are annotated on the trace and re-raised.
+    are annotated on the trace and re-raised.  Data whose squared distances
+    overflow raise ``NumericError`` before the first record.
     """
     if not isinstance(dataset, Dataset):
         dataset = Dataset(np.asarray(dataset))
@@ -442,33 +415,26 @@ def run(dataset, config):
         raise ConfigurationError(
             f"c={config.c} exceeds the number of data points N={dataset.n}"
         )
+    points = dataset.points
     rng = make_rng(config.seed)
-    model, resp, state = _initial_state(dataset, config, rng)
-    trace = [_record(0, dataset, config.algorithm, model, resp, state, dataset.n, [])]
+    model, resp, state = _initial_state(points, config, rng)
+    trace = [_record(0, points, model, resp, state, dataset.n, [])]
     reason = "max_iters"
     for it in range(1, config.max_iters + 1):
         try:
-            if config.algorithm in ("kmeans", "kmeans_cprime"):
-                cp = config.c_prime if config.algorithm == "kmeans_cprime" else 1
-                new_state, new_resp, new_model, events = tvem_step(dataset, model, cp)
-            elif config.algorithm == "lazy_kmeans":
-                new_state, new_resp, new_model, events = lazy_step(
-                    dataset, model, config.epsilon, state
-                )
+            if config.algorithm == "lazy_kmeans":
+                out = lazy_step(dataset, model, config.epsilon, state)
             elif config.algorithm == "em_gmm":
-                new_resp, new_model, events = em_gmm_step(dataset, model)
-                new_state = None
+                out = em_gmm_step(dataset, model)
+            elif config.algorithm == "sigma_pi":
+                out = sigma_pi_step(dataset, model)
             else:
-                new_resp, new_model, events = sigma_pi_step(dataset, model)
-                new_state = TruncationState(new_resp.support, 1)
+                out = tvem_step(dataset, model, config.c_prime or 1)
+            new_state, new_resp, new_model, events = out
             n_changed = _count_changed(state, resp, new_state, new_resp)
             rel = _rel_change(model, new_model)
             model, resp, state = new_model, new_resp, new_state
-            trace.append(
-                _record(
-                    it, dataset, config.algorithm, model, resp, state, n_changed, events
-                )
-            )
+            trace.append(_record(it, points, model, resp, state, n_changed, events))
         except NumericError as exc:
             trace[-1].events.append(f"numeric failure at iteration {it}: {exc}")
             exc.trace = trace

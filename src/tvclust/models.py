@@ -40,14 +40,19 @@ def logsumexp(a, axis=-1):
     return out + np.squeeze(amax, axis=axis)
 
 
-def squared_distances(points, means):
-    """Pairwise squared Euclidean distances, shape (N, C)."""
+def _points_of(dataset):
+    """Accept either a Dataset or a raw array of points (1-D means D = 1)."""
+    points = getattr(dataset, "points", dataset)
     points = np.asarray(points, dtype=np.float64)
-    means = np.asarray(means, dtype=np.float64)
     if points.ndim == 1:
         points = points[:, None]
-    if means.ndim == 1:
-        means = means[:, None]
+    return points
+
+
+def squared_distances(points, means):
+    """Pairwise squared Euclidean distances, shape (N, C)."""
+    points = _points_of(points)
+    means = _points_of(means)
     diff = points[:, None, :] - means[None, :, :]
     return np.einsum("ncd,ncd->nc", diff, diff)
 
@@ -59,7 +64,7 @@ def sigma2_floor(points):
     with an absolute guard so that degenerate single-point data still yields
     a positive floor (a zero variance would make every log density infinite).
     """
-    points = np.asarray(points, dtype=np.float64)
+    points = _points_of(points)
     centered = points - points.mean(axis=0)
     msq = float(np.mean(np.einsum("nd,nd->n", centered, centered)))
     return max(1e-12 * msq, float(np.finfo(np.float64).tiny))
@@ -71,27 +76,8 @@ def _as_readonly(arr, dtype=np.float64):
     return out
 
 
-@dataclass(frozen=True)
-class IsotropicGMM:
-    """Equally weighted isotropic mixture: C means plus one shared variance."""
-
-    means: np.ndarray  # (C, D)
-    sigma2: float
-
-    def __post_init__(self):
-        means = np.asarray(self.means, dtype=np.float64)
-        if means.ndim == 1:
-            means = means[:, None]
-        means = _as_readonly(means)
-        if means.ndim != 2 or means.size == 0:
-            raise ConfigurationError("means must be a non-empty C x D matrix")
-        if not np.all(np.isfinite(means)):
-            raise ConfigurationError("means must be finite")
-        sigma2 = float(self.sigma2)
-        if not (sigma2 > 0.0 and math.isfinite(sigma2)):
-            raise ConfigurationError(f"sigma2 must be positive and finite, got {sigma2}")
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "sigma2", sigma2)
+class _Mixture:
+    """Shape accessors shared by both model families."""
 
     @property
     def c(self):
@@ -103,7 +89,27 @@ class IsotropicGMM:
 
 
 @dataclass(frozen=True)
-class GeneralGMM:
+class IsotropicGMM(_Mixture):
+    """Equally weighted isotropic mixture: C means plus one shared variance."""
+
+    means: np.ndarray  # (C, D)
+    sigma2: float
+
+    def __post_init__(self):
+        means = _as_readonly(_points_of(self.means))
+        if means.ndim != 2 or means.size == 0:
+            raise ConfigurationError("means must be a non-empty C x D matrix")
+        if not np.all(np.isfinite(means)):
+            raise ConfigurationError("means must be finite")
+        sigma2 = float(self.sigma2)
+        if not (sigma2 > 0.0 and math.isfinite(sigma2)):
+            raise ConfigurationError(f"sigma2 must be positive and finite, got {sigma2}")
+        object.__setattr__(self, "means", means)
+        object.__setattr__(self, "sigma2", sigma2)
+
+
+@dataclass(frozen=True)
+class GeneralGMM(_Mixture):
     """Weighted mixture with full per-component covariances."""
 
     weights: np.ndarray  # (C,)
@@ -112,10 +118,7 @@ class GeneralGMM:
 
     def __post_init__(self):
         weights = _as_readonly(np.atleast_1d(self.weights))
-        means = np.asarray(self.means, dtype=np.float64)
-        if means.ndim == 1:
-            means = means[:, None]
-        means = _as_readonly(means)
+        means = _as_readonly(_points_of(self.means))
         covs = _as_readonly(self.covs)
         if covs.ndim != 3 or covs.shape[1] != covs.shape[2]:
             raise ConfigurationError("covs must have shape (C, D, D)")
@@ -131,14 +134,6 @@ class GeneralGMM:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "covs", covs)
-
-    @property
-    def c(self):
-        return self.means.shape[0]
-
-    @property
-    def d(self):
-        return self.means.shape[1]
 
 
 @dataclass(frozen=True)
@@ -205,21 +200,14 @@ def binary_responsibilities(labels, n_clusters):
     return Responsibilities(labels, np.ones_like(labels, dtype=np.float64), n_clusters)
 
 
-def _chol_factors(model):
-    """Cholesky factor per covariance; raises ``NumericError`` if not SPD."""
-    factors = []
-    for c, cov in enumerate(model.covs):
-        try:
-            factors.append(np.linalg.cholesky(cov))
-        except np.linalg.LinAlgError:
-            raise NumericError(
-                f"covariance of cluster {c} is not positive definite"
-            ) from None
-    return factors
-
-
 def log_joints(points, model):
-    """Matrix of log p(c, y^(n)) with shape (N, C) for either model family."""
+    """Matrix of log p(c, y^(n)) with shape (N, C) for either model family.
+
+    For the general model the entry is log pi_c - (1/2) log|2 pi Sigma_c|
+    - (1/2) (y-mu_c)^T Sigma_c^{-1} (y-mu_c); the Mahalanobis term goes
+    through the Cholesky factor, the covariance is never inverted.  Raises
+    ``NumericError`` if a covariance is not positive definite.
+    """
     points = _points_of(points)
     if isinstance(model, IsotropicGMM):
         d2 = squared_distances(points, model.means)
@@ -229,11 +217,15 @@ def log_joints(points, model):
         return norm - d2 / (2.0 * model.sigma2)
     n, d = points.shape
     out = np.empty((n, model.c))
-    factors = _chol_factors(model)
     with np.errstate(divide="ignore"):
         logw = np.log(model.weights)
     for c in range(model.c):
-        chol = factors[c]
+        try:
+            chol = np.linalg.cholesky(model.covs[c])
+        except np.linalg.LinAlgError:
+            raise NumericError(
+                f"covariance of cluster {c} is not positive definite"
+            ) from None
         z = np.linalg.solve(chol, (points - model.means[c]).T)
         maha = np.einsum("dn,dn->n", z, z)
         logdet = d * _LOG_2PI + 2.0 * np.sum(np.log(np.diag(chol)))
@@ -249,16 +241,6 @@ def log_density_iso(y, c, model):
         -0.5 * model.d * math.log(2.0 * math.pi * model.sigma2)
         - float(diff @ diff) / (2.0 * model.sigma2)
     )
-
-
-def log_joint_general(y, c, model):
-    """log pi_c - (1/2) log|2 pi Sigma_c| - (1/2) (y-mu_c)^T Sigma_c^{-1} (y-mu_c).
-
-    The Mahalanobis term is computed through a triangular factorization;
-    the covariance is never inverted explicitly.
-    """
-    y = np.asarray(y, dtype=np.float64).reshape(1, -1)
-    return float(log_joints(y, model)[0, c])
 
 
 def responsibilities_exact(dataset, model):
@@ -277,15 +259,6 @@ def regularize_covariances(covs):
     d = covs.shape[-1]
     lam = COV_RIDGE * np.trace(covs, axis1=-2, axis2=-1) / d
     return covs + lam[:, None, None] * np.eye(d)
-
-
-def _points_of(dataset):
-    """Accept either a Dataset or a raw array of points."""
-    points = getattr(dataset, "points", dataset)
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim == 1:
-        points = points[:, None]
-    return points
 
 
 def model_to_snapshot(model):

@@ -26,8 +26,8 @@ import numpy as np
 from .errors import ConfigurationError
 from .models import (
     Responsibilities,
+    _as_readonly,
     _points_of,
-    log_joint_general,
     log_joints,
     logsumexp,
     squared_distances,
@@ -42,7 +42,7 @@ class TruncationState:
     c_prime: int
 
     def __post_init__(self):
-        sets = np.asarray(self.sets, dtype=np.int64)
+        sets = _as_readonly(self.sets, dtype=np.int64)
         if sets.ndim != 2:
             raise ConfigurationError("sets must be an (N, C') index matrix")
         if self.c_prime < 1 or sets.shape[1] != self.c_prime:
@@ -53,13 +53,7 @@ class TruncationState:
             srt = np.sort(sets, axis=1)
             if np.any(srt[:, 1:] == srt[:, :-1]):
                 raise ConfigurationError("cluster indices must be distinct per point")
-        sets = sets.copy()
-        sets.setflags(write=False)
         object.__setattr__(self, "sets", sets)
-
-    @property
-    def n(self):
-        return self.sets.shape[0]
 
     def sorted_sets(self):
         """Row-sorted copy, for order-insensitive set comparison."""
@@ -73,9 +67,7 @@ def select_nearest(dataset, means, c_prime):
     energy over all admissible truncation configurations.
     """
     points = _points_of(dataset)
-    means = np.asarray(means, dtype=np.float64)
-    if means.ndim == 1:
-        means = means[:, None]
+    means = _points_of(means)
     if not 1 <= c_prime <= means.shape[0]:
         raise ConfigurationError(
             f"c_prime must be in [1, {means.shape[0]}], got {c_prime}"
@@ -109,19 +101,14 @@ def lazy_reassign(dataset, means, epsilon, state):
     return TruncationState(new[:, None], 1)
 
 
-def sigma_pi_score(y, c, model):
-    """Selection score for general mixtures; lower is better.
+def sigma_pi_scores(dataset, model):
+    """Selection scores (N, C) for general mixtures; lower is better.
 
     score = |y - mu_c|^2_{Sigma_c} + log|2 pi Sigma_c| - 2 log pi_c,
-    i.e. exactly -2 times the log joint, so the argmin over clusters picks
-    the maximum-joint cluster and swapping a set member for a lower-scoring
-    cluster increases the general-model free energy.
+    i.e. exactly -2 times the log joint, so the argmin per row picks the
+    maximum-joint cluster (the hard selection) and swapping a set member
+    for a lower-scoring cluster increases the general-model free energy.
     """
-    return -2.0 * log_joint_general(y, c, model)
-
-
-def sigma_pi_scores(dataset, model):
-    """Score matrix (N, C); argmin per row is the hard selection."""
     return -2.0 * log_joints(_points_of(dataset), model)
 
 

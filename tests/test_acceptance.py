@@ -208,7 +208,7 @@ def test_criterion_4_reductions():
             means,
             np.broadcast_to(sigma2 * np.eye(2), (4, 2, 2)).copy(),
         )
-        resp, _, _ = sigma_pi_step(ds, gen)
+        _, resp, _, _ = sigma_pi_step(ds, gen)
         km_resp, _, _ = kmeans_step(ds, means)
         assert np.array_equal(resp.hard_labels(), km_resp.hard_labels())
     print("\n[PASS] criterion 4: full-set, lazy eps=0, and score-rule reductions")

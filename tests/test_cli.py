@@ -268,3 +268,33 @@ class TestNumericExit:
             ]
         )
         assert code == EXIT_NUMERIC
+
+    @pytest.mark.parametrize("algorithm", ["kmeans", "em_gmm"])
+    @pytest.mark.parametrize("seeding", ["dsquared", "uniform"])
+    def test_overflow_scale_exits_numeric(self, tmp_path, capsys, algorithm, seeding):
+        # squared distances of points at the 1e160 scale overflow to inf
+        import numpy as np
+
+        from tvclust import Dataset, save_csv
+        from tvclust.cli import EXIT_NUMERIC
+
+        data = tmp_path / "huge.csv"
+        save_csv(Dataset(np.random.default_rng(0).normal(size=(200, 2)) * 1e160), data)
+        capsys.readouterr()
+        code = main(
+            [
+                "fit",
+                "--data",
+                str(data),
+                "--algorithm",
+                algorithm,
+                "--c",
+                "3",
+                "--seeding",
+                seeding,
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == EXIT_NUMERIC
+        assert err.startswith("numeric error:") and "not finite" in err
+        assert "Traceback" not in err

@@ -163,6 +163,39 @@ class TestMStepGeneral:
             assert np.max(np.abs(cov - cov.T)) <= 1e-12
 
 
+class TestGeneralRevival:
+    """Zero-weight clusters after a general-model M-step are revived."""
+
+    # Clusters 1 and 2 sit far outside the data with a tiny covariance, so
+    # both the exact posterior (by underflow) and the hard score give them
+    # zero mass; the M-step then puts all mass on cluster 0 (mean 2.25).
+    points = Dataset([[0.0], [1.0], [2.0], [6.0]])
+    prev = GeneralGMM(
+        np.array([0.5, 0.25, 0.25]),
+        np.array([[1.0], [1e3], [2e3]]),
+        np.array([[[1.0]], [[1e-2]], [[3e-2]]]),
+    )
+
+    @pytest.mark.parametrize("step", [em_gmm_step, sigma_pi_step])
+    def test_revived_at_worst_fit_points_with_previous_covariance(self, step):
+        model, events = step(self.points, self.prev)[-2:]
+        # distances to the new mean 2.25: 2.25, 1.25, 0.25, 3.75, so the
+        # first empty cluster lands on point 3 and the second on point 0
+        assert model.means[1, 0] == 6.0
+        assert model.means[2, 0] == 0.0
+        assert model.means[0, 0] == pytest.approx(2.25, abs=1e-12)
+        assert model.covs[1, 0, 0] == self.prev.covs[1, 0, 0]
+        assert model.covs[2, 0, 0] == self.prev.covs[2, 0, 0]
+        assert model.weights[1] == pytest.approx(0.25, abs=1e-15)
+        assert model.weights[2] == pytest.approx(0.25, abs=1e-15)
+        assert model.weights[0] == pytest.approx(0.5, abs=1e-15)
+        assert float(model.weights.sum()) == pytest.approx(1.0, abs=1e-15)
+        assert events == [
+            "reseeded empty cluster 1 at point 3",
+            "reseeded empty cluster 2 at point 0",
+        ]
+
+
 class TestKmeansStep:
     def test_hand_computed(self, four_points):
         resp, means, events = kmeans_step(four_points, np.array([[0.0], [4.0]]))
@@ -304,7 +337,7 @@ class TestSigmaPiStep:
             means,
             np.broadcast_to(0.5 * np.eye(2), (4, 2, 2)).copy(),
         )
-        resp, new_model, _ = sigma_pi_step(ds, model)
+        _, resp, new_model, _ = sigma_pi_step(ds, model)
         k_resp, _, _ = kmeans_step(ds, means)
         assert np.array_equal(resp.hard_labels(), k_resp.hard_labels())
 
@@ -315,7 +348,7 @@ class TestSigmaPiStep:
             np.array([[[4.0]], [[0.25]]]),
         )
         ds = Dataset([[0.0], [0.4]])
-        resp, _, _ = sigma_pi_step(ds, model)
+        _, resp, _, _ = sigma_pi_step(ds, model)
         assert resp.hard_labels()[0] == 1  # tighter cluster wins despite mu_0 = y
 
     def test_recovers_labels_from_ground_truth(self):
@@ -336,7 +369,7 @@ class TestSigmaPiStep:
             true_means,
             np.broadcast_to(0.09 * np.eye(2), (2, 2, 2)).copy(),
         )
-        resp, _, _ = sigma_pi_step(ds, model)
+        _, resp, _, _ = sigma_pi_step(ds, model)
         assert np.array_equal(resp.hard_labels(), ds.labels)
 
 
@@ -354,7 +387,7 @@ class TestEmGmmStep:
         )
         prev = log_likelihood(ds.points, model)
         for _ in range(10):
-            _, model, _ = em_gmm_step(ds, model)
+            _, _, model, _ = em_gmm_step(ds, model)
             cur = log_likelihood(ds.points, model)
             assert cur >= prev - 1e-9 * max(1.0, abs(prev))
             prev = cur

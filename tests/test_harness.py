@@ -197,3 +197,32 @@ class TestFailureHandling:
         monkeypatch.setattr(harness, "run", doomed_run)
         with pytest.raises(NumericError):
             harness.run_experiment(small_spec(tmp_path, restarts=2))
+
+    @pytest.mark.parametrize("seeding", ["dsquared", "uniform"])
+    def test_overflow_scale_restart_recorded_as_failure(
+        self, tmp_path, monkeypatch, seeding
+    ):
+        import tvclust.harness as harness
+        from tvclust import Dataset, NumericError, save_csv
+
+        huge = Dataset(np.random.default_rng(0).normal(size=(200, 2)) * 1e160)
+        huge_path = tmp_path / "huge.csv"
+        save_csv(huge, huge_path)
+        config = RunConfig(algorithm="kmeans", c=3, seeding=seeding, seed=7)
+        spec = ExperimentSpec(config=config, restarts=2, data_path=huge_path)
+        with pytest.raises(NumericError, match="all restarts failed"):
+            run_experiment(spec)
+
+        # one restart on the overflowing data, the others on normal data
+        real_run = harness.run
+        spec = small_spec(tmp_path, restarts=3, seeding=seeding)
+        bad_seed = restart_seed(spec.config.seed, 1)
+
+        def mixed_run(dataset, config):
+            return real_run(huge if config.seed == bad_seed else dataset, config)
+
+        monkeypatch.setattr(harness, "run", mixed_run)
+        summary = harness.run_experiment(spec)
+        assert [f["restart"] for f in summary["failures"]] == [1]
+        assert "not finite" in summary["failures"][0]["error"]
+        assert summary["best_run"] in (0, 2)

@@ -12,7 +12,6 @@ from tvclust import (
     Responsibilities,
     binary_responsibilities,
     log_density_iso,
-    log_joint_general,
     log_joints,
     logsumexp,
     model_from_snapshot,
@@ -89,7 +88,8 @@ class TestGeneralJoint:
         y = rng.normal(size=2)
         for c in range(3):
             expected = math.log(1.0 / 3.0) + log_density_iso(y, c, iso)
-            assert log_joint_general(y, c, gen) == pytest.approx(expected, abs=1e-12)
+            got = log_joints(y[None, :], gen)[0, c]
+            assert got == pytest.approx(expected, abs=1e-12)
 
     def test_closed_form_value(self):
         # log(0.5) - (1/2) log(8 pi) for y=0, mu=0, cov=4, weight=0.5
@@ -99,14 +99,14 @@ class TestGeneralJoint:
             np.array([[[4.0]], [[4.0]]]),
         )
         expected = math.log(0.5) - 0.5 * math.log(8.0 * math.pi)
-        assert log_joint_general([0.0], 0, model) == pytest.approx(expected, abs=1e-13)
+        assert log_joints([[0.0]], model)[0, 0] == pytest.approx(expected, abs=1e-13)
 
     def test_inflating_covariance_decreases_value_at_mean(self):
         base = np.array([[[1.0, 0.2], [0.2, 2.0]]])
         small = GeneralGMM(np.array([1.0]), np.zeros((1, 2)), base)
         big = GeneralGMM(np.array([1.0]), np.zeros((1, 2)), 3.0 * base)
         y = np.zeros(2)
-        assert log_joint_general(y, 0, big) < log_joint_general(y, 0, small)
+        assert log_joints(y[None, :], big)[0, 0] < log_joints(y[None, :], small)[0, 0]
 
     def test_non_positive_definite_raises(self):
         model = GeneralGMM(

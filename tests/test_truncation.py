@@ -16,7 +16,6 @@ from tvclust import (
     logsumexp,
     responsibilities_exact,
     select_nearest,
-    sigma_pi_score,
     sigma_pi_scores,
     squared_distances,
     truncated_responsibilities,
@@ -108,8 +107,7 @@ class TestSigmaPiScore:
             np.array([[0.0], [0.5]]),
             np.array([[[4.0]], [[0.25]]]),
         )
-        s0 = sigma_pi_score([0.0], 0, model)
-        s1 = sigma_pi_score([0.0], 1, model)
+        s0, s1 = sigma_pi_scores([[0.0]], model)[0]
         assert s0 == pytest.approx(
             math.log(8.0 * math.pi) + 2.0 * math.log(2.0), abs=1e-12
         )
@@ -139,7 +137,7 @@ class TestSigmaPiScore:
         covs = np.broadcast_to(np.eye(2), (3, 2, 2)).copy()
         model = GeneralGMM(np.array([0.2, 0.3, 0.5]), means, covs)
         y = rng.normal(size=2)
-        scores = np.array([sigma_pi_score(y, c, model) for c in range(3)])
+        scores = sigma_pi_scores(y[None, :], model)[0]
         d2 = squared_distances(y[None, :], means)[0]
         doubled = np.array(
             [
