@@ -52,7 +52,6 @@ from .models import (
     squared_distances,
 )
 from .truncation import (
-    TruncationState,
     lazy_reassign,
     select_nearest,
     sigma_pi_scores,

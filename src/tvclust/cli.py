@@ -18,7 +18,7 @@ from .engine import ALGORITHMS, SEEDINGS, RunConfig, run
 from .errors import ConfigurationError, NumericError, ParseError
 from .harness import ExperimentSpec, emit, run_experiment
 from .models import IsotropicGMM, load_model, model_to_snapshot, save_model
-from .truncation import TruncationState, select_nearest, sigma_pi_scores
+from .truncation import select_nearest, sigma_pi_scores
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -154,8 +154,7 @@ def _cmd_audit(args):
     model = load_model(args.model)
     points = dataset.points
     if isinstance(model, IsotropicGMM):
-        state = select_nearest(points, model.means, 1)
-        labels = state.sets[:, 0]
+        labels = select_nearest(points, model.means, 1)[:, 0]
         f_j, l_j, gap_j = appendix_forms(points, labels, model.means, model.c)
         report = {
             "kind": "iso",
@@ -167,8 +166,7 @@ def _cmd_audit(args):
         }
     else:
         labels = np.argmin(sigma_pi_scores(points, model), axis=1)
-        state = TruncationState(labels[:, None], 1)
-        f = free_energy_trunc(points, model, state)
+        f = free_energy_trunc(points, model, labels[:, None])
         ll = log_likelihood(points, model)
         report = {
             "kind": "general",

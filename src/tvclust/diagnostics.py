@@ -24,6 +24,7 @@ import numpy as np
 
 from .models import (
     Responsibilities,
+    _index_sets,
     _points_of,
     binary_responsibilities,
     log_joints,
@@ -95,11 +96,12 @@ def objective_j(dataset, assignments, means):
     return float(np.sum(resp.weights * sq))
 
 
-def free_energy_trunc(dataset, model, state):
-    """(1/N) sum_n log sum_{c in K^(n)} p(c, y^(n)); either model family."""
+def free_energy_trunc(dataset, model, sets):
+    """(1/N) sum_n log sum_{c in K^(n)} p(c, y^(n)), K^(n) = row n of ``sets``."""
     points = _points_of(dataset)
+    sets = _index_sets(sets, model.c)
     lj = log_joints(points, model)
-    sub = np.take_along_axis(lj, state.sets, axis=1)
+    sub = np.take_along_axis(lj, sets, axis=1)
     return float(np.mean(logsumexp(sub, axis=1)))
 
 

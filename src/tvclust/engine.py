@@ -12,9 +12,9 @@ truncation set K^(n) (the E-step), with the M-step of one model family:
 
 k-means still updates the shared variance each iteration; it never feeds
 back into the mean path, whose updates are variance-independent for
-singleton sets.  Every kernel ``run`` drives returns ``(state, resp,
-model, events)``: the truncation sets (None for exact EM), the posteriors,
-the new model and any reseed events, so ``run`` has one dispatch and
+singleton sets.  All five kernels return ``(resp, model|means, events)``:
+the posteriors, whose ``resp.support`` is K^(n), the new model (means for
+``kmeans_step``) and any reseed events, so ``run`` has one dispatch and
 records every iteration through one path.
 
 A run converges once the truncation sets (or hard shadow labels for exact
@@ -46,7 +46,6 @@ from .models import (
     squared_distances,
 )
 from .truncation import (
-    TruncationState,
     lazy_reassign,
     select_nearest,
     sigma_pi_scores,
@@ -106,7 +105,6 @@ class FitResult:
 
     model: IsotropicGMM | GeneralGMM
     responsibilities: Responsibilities
-    state: TruncationState | None
     trace: list[TraceRecord] = field(default_factory=list)
     reason: str = "max_iters"
 
@@ -279,8 +277,8 @@ def kmeans_step(dataset, means):
     """
     points = _points_of(dataset)
     means = _points_of(means)
-    state = select_nearest(points, means, 1)
-    resp = binary_responsibilities(state.sets[:, 0], means.shape[0])
+    labels = select_nearest(points, means, 1)[:, 0]
+    resp = binary_responsibilities(labels, means.shape[0])
     new_means, events = _iso_means(points, resp)
     return resp, new_means, events
 
@@ -292,33 +290,32 @@ def tvem_step(dataset, model, c_prime):
     c_prime = 1 the mean path coincides with ``kmeans_step``; with
     c_prime = C it is one exact EM iteration for the isotropic model.
     """
-    state = select_nearest(dataset, model.means, c_prime)
-    resp = truncated_responsibilities(dataset, model, state)
+    sets = select_nearest(dataset, model.means, c_prime)
+    resp = truncated_responsibilities(dataset, model, sets)
     new_model, events = m_step_iso(dataset, resp)
-    return state, resp, new_model, events
+    return resp, new_model, events
 
 
-def lazy_step(dataset, model, epsilon, state):
-    """Lazy reassignment followed by the standard k-means updates."""
-    new_state = lazy_reassign(dataset, model.means, epsilon, state)
-    resp = binary_responsibilities(new_state.sets[:, 0], model.c)
+def lazy_step(dataset, model, epsilon, sets):
+    """Lazy reassignment of ``sets`` (the last support), then k-means updates."""
+    labels = lazy_reassign(dataset, model.means, epsilon, sets)[:, 0]
+    resp = binary_responsibilities(labels, model.c)
     new_model, events = m_step_iso(dataset, resp)
-    return new_state, resp, new_model, events
+    return resp, new_model, events
 
 
 def em_gmm_step(dataset, model):
-    """One exact EM iteration for the general weighted mixture (state None)."""
+    """One exact EM iteration for the general weighted mixture."""
     points = _points_of(dataset)
     resp = responsibilities_exact(points, model)
     new_model, events = _m_step_general_revived(points, resp, model)
-    return None, resp, new_model, events
+    return resp, new_model, events
 
 
 def _score_argmin(points, model):
-    """Singleton sets at each point's minimal score, and their binary posteriors."""
+    """Binary posteriors on the singleton set at each point's minimal score."""
     labels = np.argmin(sigma_pi_scores(points, model), axis=1)
-    resp = binary_responsibilities(labels, model.c)
-    return TruncationState(labels[:, None], 1), resp
+    return binary_responsibilities(labels, model.c)
 
 
 def sigma_pi_step(dataset, model):
@@ -329,9 +326,9 @@ def sigma_pi_step(dataset, model):
     nearest-center rule.
     """
     points = _points_of(dataset)
-    state, resp = _score_argmin(points, model)
+    resp = _score_argmin(points, model)
     new_model, events = _m_step_general_revived(points, resp, model)
-    return state, resp, new_model, events
+    return resp, new_model, events
 
 
 # ---------------------------------------------------------------------------
@@ -352,19 +349,19 @@ def _rel_change(old, new):
     return float(np.max(np.abs(b - a))) / max(1.0, float(np.max(np.abs(a))))
 
 
-def _count_changed(old_state, old_resp, new_state, new_resp):
-    if new_state is None:
-        return int(np.sum(old_resp.hard_labels() != new_resp.hard_labels()))
-    return int(
-        np.sum(np.any(old_state.sorted_sets() != new_state.sorted_sets(), axis=1))
-    )
+def _count_changed(old, new, exact):
+    """Points whose unordered set (hard shadow label for exact EM) changed."""
+    if exact:
+        return int(np.sum(old.hard_labels() != new.hard_labels()))
+    changed = np.sort(old.support, axis=1) != np.sort(new.support, axis=1)
+    return int(np.sum(np.any(changed, axis=1)))
 
 
-def _record(iteration, points, model, resp, state, n_changed, events):
+def _record(iteration, points, model, resp, exact, n_changed, events):
     n, d = points.shape
     j = objective_j(points, resp, model.means)
     ll = log_likelihood(points, model)
-    f = ll if state is None else free_energy_trunc(points, model, state)
+    f = ll if exact else free_energy_trunc(points, model, resp.support)
     return TraceRecord(
         iteration=iteration,
         J=j,
@@ -383,7 +380,7 @@ def _initial_state(points, config, rng):
     means0 = seed(points, config.c, rng)
     nearest1 = select_nearest(points, means0, 1)
     sigma2_0 = max(
-        objective_j(points, nearest1.sets[:, 0], means0) / (d * n),
+        objective_j(points, nearest1[:, 0], means0) / (d * n),
         sigma2_floor(points),
     )
     if not np.isfinite(sigma2_0):
@@ -392,13 +389,12 @@ def _initial_state(points, config, rng):
         covs0 = np.broadcast_to(sigma2_0 * np.eye(d), (config.c, d, d)).copy()
         model = GeneralGMM(np.full(config.c, 1.0 / config.c), means0, covs0)
         if config.algorithm == "em_gmm":
-            return model, responsibilities_exact(points, model), None
-        state, resp = _score_argmin(points, model)
-        return model, resp, state
+            return model, responsibilities_exact(points, model)
+        return model, _score_argmin(points, model)
     cp = config.c_prime or 1
     model = IsotropicGMM(means0, sigma2_0)
-    state = nearest1 if cp == 1 else select_nearest(points, means0, cp)
-    return model, truncated_responsibilities(points, model, state), state
+    sets = nearest1 if cp == 1 else select_nearest(points, means0, cp)
+    return model, truncated_responsibilities(points, model, sets)
 
 
 def run(dataset, config):
@@ -417,24 +413,26 @@ def run(dataset, config):
         )
     points = dataset.points
     rng = make_rng(config.seed)
-    model, resp, state = _initial_state(points, config, rng)
-    trace = [_record(0, points, model, resp, state, dataset.n, [])]
+    # Only exact EM records F = L and counts hard labels (C' = C is dense too).
+    exact = config.algorithm == "em_gmm"
+    model, resp = _initial_state(points, config, rng)
+    trace = [_record(0, points, model, resp, exact, dataset.n, [])]
     reason = "max_iters"
     for it in range(1, config.max_iters + 1):
         try:
             if config.algorithm == "lazy_kmeans":
-                out = lazy_step(dataset, model, config.epsilon, state)
-            elif config.algorithm == "em_gmm":
+                out = lazy_step(dataset, model, config.epsilon, resp.support)
+            elif exact:
                 out = em_gmm_step(dataset, model)
             elif config.algorithm == "sigma_pi":
                 out = sigma_pi_step(dataset, model)
             else:
                 out = tvem_step(dataset, model, config.c_prime or 1)
-            new_state, new_resp, new_model, events = out
-            n_changed = _count_changed(state, resp, new_state, new_resp)
+            new_resp, new_model, events = out
+            n_changed = _count_changed(resp, new_resp, exact)
             rel = _rel_change(model, new_model)
-            model, resp, state = new_model, new_resp, new_state
-            trace.append(_record(it, points, model, resp, state, n_changed, events))
+            model, resp = new_model, new_resp
+            trace.append(_record(it, points, model, resp, exact, n_changed, events))
         except NumericError as exc:
             trace[-1].events.append(f"numeric failure at iteration {it}: {exc}")
             exc.trace = trace
@@ -442,4 +440,4 @@ def run(dataset, config):
         if n_changed == 0 and rel < config.tol:
             reason = "converged"
             break
-    return FitResult(model, resp, state, trace, reason)
+    return FitResult(model, resp, trace, reason)

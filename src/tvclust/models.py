@@ -136,14 +136,28 @@ class GeneralGMM(_Mixture):
         object.__setattr__(self, "covs", covs)
 
 
+def _index_sets(support, c):
+    """Read-only int64 copy of an (N, K) index matrix whose rows hold 1 to C
+    distinct indices in [0, C); raises ``ConfigurationError`` otherwise."""
+    support = _as_readonly(support, dtype=np.int64)
+    if support.ndim != 2 or not 1 <= support.shape[1] <= c:
+        raise ConfigurationError(f"index sets must be an (N, K) matrix, 1 <= K <= {c}")
+    if np.any(support < 0) or np.any(support >= c):
+        raise ConfigurationError(f"cluster indices must lie in [0, {c})")
+    srt = np.sort(support, axis=1)
+    if np.any(srt[:, 1:] == srt[:, :-1]):
+        raise ConfigurationError("cluster indices must be distinct per point")
+    return support
+
+
 @dataclass(frozen=True)
 class Responsibilities:
     """Per-point cluster distribution with explicit support.
 
-    ``support[n]`` lists the clusters carrying mass for point n and
-    ``weights[n]`` the matching probabilities (each row sums to 1).  Hard
-    assignments use a single column of weight 1; dense posteriors list every
-    cluster.
+    ``support[n]``, the truncation set K^(n), lists the clusters carrying
+    mass for point n and ``weights[n]`` the matching probabilities (each
+    row sums to 1).  Hard assignments use a single column of weight 1;
+    dense posteriors list every cluster.
     """
 
     support: np.ndarray  # (N, K) int64
@@ -151,18 +165,10 @@ class Responsibilities:
     n_clusters: int
 
     def __post_init__(self):
-        support = _as_readonly(self.support, dtype=np.int64)
+        support = _index_sets(self.support, self.n_clusters)
         weights = _as_readonly(self.weights)
-        if support.ndim != 2 or support.shape != weights.shape:
+        if support.shape != weights.shape:
             raise ConfigurationError("support and weights must share shape (N, K)")
-        if support.shape[1] < 1 or support.shape[1] > self.n_clusters:
-            raise ConfigurationError("support width must be in [1, n_clusters]")
-        if np.any(support < 0) or np.any(support >= self.n_clusters):
-            raise ConfigurationError("support indices out of range")
-        if support.shape[1] > 1:
-            srt = np.sort(support, axis=1)
-            if np.any(srt[:, 1:] == srt[:, :-1]):
-                raise ConfigurationError("support indices must be distinct per point")
         if np.any(weights < 0.0):
             raise ConfigurationError("responsibility weights must be nonnegative")
         if np.any(np.abs(weights.sum(axis=1) - 1.0) > 1e-12):

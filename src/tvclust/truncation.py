@@ -1,8 +1,8 @@
 """Per-point truncation sets and the criteria that update them.
 
-A truncation state keeps, for every data point, the ordered list of the C'
-cluster indices that are allowed to carry posterior mass.  Three update
-criteria are provided:
+The truncation sets K^(n), the clusters allowed to carry posterior mass,
+form one (N, C') int64 index matrix: the posteriors' ``support``.  Three
+update criteria are provided:
 
 * nearest-C' selection (full variational E-step; optimal for the isotropic
   equal-weight model),
@@ -19,14 +19,12 @@ inputs stay reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigurationError
 from .models import (
     Responsibilities,
-    _as_readonly,
+    _index_sets,
     _points_of,
     log_joints,
     logsumexp,
@@ -34,37 +32,12 @@ from .models import (
 )
 
 
-@dataclass(frozen=True)
-class TruncationState:
-    """Ordered index lists K^(n), one row per point, all of width c_prime."""
-
-    sets: np.ndarray  # (N, C') int64, nearest first where ordering applies
-    c_prime: int
-
-    def __post_init__(self):
-        sets = _as_readonly(self.sets, dtype=np.int64)
-        if sets.ndim != 2:
-            raise ConfigurationError("sets must be an (N, C') index matrix")
-        if self.c_prime < 1 or sets.shape[1] != self.c_prime:
-            raise ConfigurationError("every set must hold exactly c_prime indices")
-        if np.any(sets < 0):
-            raise ConfigurationError("cluster indices must be nonnegative")
-        if self.c_prime > 1:
-            srt = np.sort(sets, axis=1)
-            if np.any(srt[:, 1:] == srt[:, :-1]):
-                raise ConfigurationError("cluster indices must be distinct per point")
-        object.__setattr__(self, "sets", sets)
-
-    def sorted_sets(self):
-        """Row-sorted copy, for order-insensitive set comparison."""
-        return np.sort(self.sets, axis=1)
-
-
 def select_nearest(dataset, means, c_prime):
     """The C' centers with smallest Euclidean distance per point.
 
     For fixed model parameters this choice maximizes the truncated free
-    energy over all admissible truncation configurations.
+    energy over all admissible truncation configurations.  Returns an owned
+    (N, C') copy, nearest first, so the (N, C) argsort is freed at once.
     """
     points = _points_of(dataset)
     means = _points_of(means)
@@ -73,32 +46,32 @@ def select_nearest(dataset, means, c_prime):
             f"c_prime must be in [1, {means.shape[0]}], got {c_prime}"
         )
     d2 = squared_distances(points, means)
-    order = np.argsort(d2, axis=1, kind="stable")
-    return TruncationState(order[:, :c_prime], c_prime)
+    return np.argsort(d2, axis=1, kind="stable")[:, :c_prime].copy()
 
 
-def lazy_reassign(dataset, means, epsilon, state):
+def lazy_reassign(dataset, means, epsilon, sets):
     """Move a point to the globally nearest center only if
     (1 + epsilon) * dist(new) < dist(current); otherwise keep the current set.
 
-    Every switch strictly decreases the distance, so each one increases the
-    truncated free energy.  Only defined for singleton sets; combining the
-    lazy rule with C' > 1 has no agreed semantics and is rejected.
+    Returns the updated copy of the (N, 1) matrix ``sets``.  Every switch
+    strictly decreases the distance, so each one increases the truncated
+    free energy.  Only defined for singleton sets; combining the lazy rule
+    with C' > 1 has no agreed semantics and is rejected.
     """
     if epsilon < 0:
         raise ConfigurationError("epsilon must be nonnegative")
-    if state.c_prime != 1:
+    sets = _index_sets(sets, len(means))
+    if sets.shape[1] != 1:
         raise ConfigurationError(
             "lazy reassignment is only defined for c_prime = 1"
         )
     points = _points_of(dataset)
     d2 = squared_distances(points, means)
-    current = state.sets[:, 0]
+    current = sets[:, 0]
     best = np.argmin(d2, axis=1)
     rows = np.arange(points.shape[0])
     switch = (1.0 + epsilon) * np.sqrt(d2[rows, best]) < np.sqrt(d2[rows, current])
-    new = np.where(switch, best, current)
-    return TruncationState(new[:, None], 1)
+    return np.where(switch, best, current)[:, None]
 
 
 def sigma_pi_scores(dataset, model):
@@ -112,18 +85,18 @@ def sigma_pi_scores(dataset, model):
     return -2.0 * log_joints(_points_of(dataset), model)
 
 
-def truncated_responsibilities(dataset, model, state):
+def truncated_responsibilities(dataset, model, sets):
     """Posterior renormalized over each point's truncation set.
 
-    q_c^(n) is proportional to the joint on K^(n) and zero elsewhere,
-    normalized per point with max-shifted log-sum-exp.  Singleton sets give
-    exactly binary weights; full sets reproduce the dense posterior.
+    q_c^(n) is proportional to the joint on K^(n), row n of ``sets`` and of
+    the returned support, and zero elsewhere, normalized per point with
+    max-shifted log-sum-exp.  Singleton sets give exactly binary weights;
+    full sets reproduce the dense posterior.
     """
     points = _points_of(dataset)
-    if int(state.sets.max()) >= model.c:
-        raise ConfigurationError("truncation set references a cluster beyond C")
+    sets = _index_sets(sets, model.c)
     lj = log_joints(points, model)
-    sub = np.take_along_axis(lj, state.sets, axis=1)
+    sub = np.take_along_axis(lj, sets, axis=1)
     weights = np.exp(sub - logsumexp(sub, axis=1)[:, None])
     weights = weights / weights.sum(axis=1, keepdims=True)
-    return Responsibilities(state.sets, weights, model.c)
+    return Responsibilities(sets, weights, model.c)

@@ -100,7 +100,7 @@ def test_criterion_1_hard_assignment_equivalence():
         points = Dataset(rng.normal(size=(n, d)) * float(rng.uniform(0.5, 3.0)))
         means = points.points[rng.choice(n, size=c, replace=False)]
         model = IsotropicGMM(means, float(rng.uniform(1e-3, 10.0)))
-        _, resp_tv, model_tv, _ = tvem_step(points, model, 1)
+        resp_tv, model_tv, _ = tvem_step(points, model, 1)
         resp_km, means_km, _ = kmeans_step(points, means)
         assert np.array_equal(resp_tv.hard_labels(), resp_km.hard_labels())
         assert np.max(np.abs(model_tv.means - means_km)) <= 1e-12
@@ -161,7 +161,8 @@ def test_criterion_3_bound_and_gap_identity(monotone_results):
         model = IsotropicGMM(means, 1.0)
         state = select_nearest(ds.points, means, 1)
         for _ in range(6):
-            state, resp, model, _ = lazy_step(ds, model, 0.3, state)
+            resp, model, _ = lazy_step(ds, model, 0.3, state)
+            state = resp.support
             lhs = log_likelihood(ds, model) - free_energy_kmeans(4, 2, model.sigma2)
             assert lhs >= -1e-10
             assert abs(lhs - kl_gap(ds, model, resp)) <= 1e-10
@@ -178,11 +179,11 @@ def test_criterion_4_reductions():
         ds = _blobs(500 + i)
         means = ds.points[rng.choice(ds.n, 4, replace=False)]
         model = IsotropicGMM(means, float(rng.uniform(0.1, 2.0)))
-        state, resp, new_model, _ = tvem_step(ds, model, 4)
+        resp, new_model, _ = tvem_step(ds, model, 4)
         exact = responsibilities_exact(ds.points, model)
         assert np.max(np.abs(resp.dense() - exact.dense())) <= 1e-12
         assert abs(
-            free_energy_trunc(ds, model, state) - log_likelihood(ds, model)
+            free_energy_trunc(ds, model, resp.support) - log_likelihood(ds, model)
         ) <= 1e-12
     # lazy with eps=0 reproduces kmeans exactly, over whole runs
     for i in range(5):
@@ -208,7 +209,7 @@ def test_criterion_4_reductions():
             means,
             np.broadcast_to(sigma2 * np.eye(2), (4, 2, 2)).copy(),
         )
-        _, resp, _, _ = sigma_pi_step(ds, gen)
+        resp, _, _ = sigma_pi_step(ds, gen)
         km_resp, _, _ = kmeans_step(ds, means)
         assert np.array_equal(resp.hard_labels(), km_resp.hard_labels())
     print("\n[PASS] criterion 4: full-set, lazy eps=0, and score-rule reductions")
@@ -232,7 +233,7 @@ def test_criterion_5_entropy_form():
             value = free_energy_entropy_form(
                 ds, res.responsibilities, res.model.means, res.model.sigma2
             )
-            direct = free_energy_trunc(ds, res.model, res.state)
+            direct = free_energy_trunc(ds, res.model, res.responsibilities.support)
             assert abs(value - direct) <= 1e-9
             if cp == 1:
                 # entropy term must be exactly zero for binary posteriors

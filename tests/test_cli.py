@@ -298,3 +298,22 @@ class TestNumericExit:
         assert code == EXIT_NUMERIC
         assert err.startswith("numeric error:") and "not finite" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("algorithm", ["em_gmm", "sigma_pi"])
+    def test_zero_scatter_cluster_exits_numeric(self, tmp_path, capsys, algorithm):
+        # two groups of exact duplicates: each cluster's scatter is zero, so
+        # the relative covariance ridge is zero too (documented, no floor)
+        import numpy as np
+
+        from tvclust import Dataset, save_csv
+        from tvclust.cli import EXIT_NUMERIC
+
+        data = tmp_path / "dups.csv"
+        points = np.repeat(np.array([[1.0, 2.0], [5.0, 5.0]]), 10, axis=0)
+        save_csv(Dataset(points), data)
+        capsys.readouterr()
+        code = main(["fit", "--data", str(data), "--algorithm", algorithm, "--c", "2"])
+        err = capsys.readouterr().err
+        assert code == EXIT_NUMERIC
+        assert err.startswith("numeric error:")
+        assert "Traceback" not in err

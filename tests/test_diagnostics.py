@@ -21,7 +21,6 @@ from tvclust import (
     run,
     select_nearest,
 )
-from tvclust.truncation import TruncationState
 
 from conftest import blob_dataset
 
@@ -36,7 +35,7 @@ def four_point_post_iteration():
     ds = Dataset([0.0, 1.0, 3.0, 4.0])
     resp, means, _ = kmeans_step(ds, np.array([[0.0], [4.0]]))
     model, _ = m_step_iso(ds, resp)
-    state = TruncationState(resp.support, 1)
+    state = resp.support
     return ds, resp, model, state
 
 
@@ -114,7 +113,7 @@ class TestFreeEnergyKmeans:
         for _ in range(4):
             resp, means, _ = kmeans_step(ds, means)
             model, _ = m_step_iso(ds, resp)
-            state = TruncationState(resp.support, 1)
+            state = resp.support
             closed = free_energy_kmeans(3, 2, model.sigma2)
             assert free_energy_trunc(ds, model, state) == pytest.approx(
                 closed, abs=1e-12
@@ -193,7 +192,7 @@ class TestEntropyForm:
         value = free_energy_entropy_form(
             ds, res.responsibilities, res.model.means, res.model.sigma2
         )
-        direct = free_energy_trunc(ds, res.model, res.state)
+        direct = free_energy_trunc(ds, res.model, res.responsibilities.support)
         assert abs(value - direct) <= 1e-9
 
     def test_wider_sets_raise_free_energy_at_fixed_parameters(self):
@@ -237,7 +236,7 @@ class TestAppendixForms:
         for _ in range(5):
             resp, means, _ = kmeans_step(ds, means)
             model, _ = m_step_iso(ds, resp)
-            state = TruncationState(resp.support, 1)
+            state = resp.support
             direct = free_energy_trunc(ds, model, state)
             closed = free_energy_kmeans(3, 2, model.sigma2)
             via_j, _, _ = appendix_forms(ds, resp, model.means, 3)

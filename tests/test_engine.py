@@ -230,7 +230,7 @@ class TestTvemStep:
             ds = Dataset(rng.normal(size=(30, 2)))
             means = rng.normal(size=(3, 2))
             model = IsotropicGMM(means, float(rng.uniform(0.01, 5.0)))
-            state, resp, new_model, _ = tvem_step(ds, model, 1)
+            resp, new_model, _ = tvem_step(ds, model, 1)
             k_resp, k_means, _ = kmeans_step(ds, means)
             assert np.array_equal(resp.hard_labels(), k_resp.hard_labels())
             assert np.max(np.abs(new_model.means - k_means)) <= 1e-12
@@ -239,7 +239,7 @@ class TestTvemStep:
         rng = np.random.default_rng(9)
         ds = Dataset(rng.normal(size=(25, 2)))
         model = IsotropicGMM(rng.normal(size=(4, 2)), 0.8)
-        state, resp, new_model, _ = tvem_step(ds, model, 4)
+        resp, new_model, _ = tvem_step(ds, model, 4)
         exact = responsibilities_exact(ds.points, model)
         assert np.max(np.abs(resp.dense() - exact.dense())) <= 1e-12
         ref_model, _ = m_step_iso(ds, exact)
@@ -248,7 +248,7 @@ class TestTvemStep:
 
     def test_single_cluster(self, four_points):
         model = IsotropicGMM(np.array([[1.0]]), 2.0)
-        state, resp, new_model, _ = tvem_step(four_points, model, 1)
+        resp, new_model, _ = tvem_step(four_points, model, 1)
         assert np.all(resp.weights == 1.0)
         assert new_model.means[0, 0] == pytest.approx(2.0, abs=1e-15)
         # mean squared deviation around the global mean, divided by D
@@ -262,14 +262,14 @@ class TestTvemStep:
         reference = []
         model = IsotropicGMM(means, 1.0)
         for _ in range(5):
-            _, resp, model, _ = tvem_step(ds, model, 1)
+            resp, model, _ = tvem_step(ds, model, 1)
             reference.append((resp.hard_labels().copy(), model.means.copy()))
         perturbed = []
         model = IsotropicGMM(means, 1.0)
         for i in range(5):
             # overwrite the variance with garbage between iterations
             model = IsotropicGMM(model.means, float(rng.uniform(1e-6, 1e6)))
-            _, resp, model, _ = tvem_step(ds, model, 1)
+            resp, model, _ = tvem_step(ds, model, 1)
             perturbed.append((resp.hard_labels().copy(), model.means.copy()))
         for (la, ma), (lb, mb) in zip(reference, perturbed):
             assert np.array_equal(la, lb)
@@ -283,7 +283,7 @@ class TestLazyStep:
         means = rng.normal(size=(4, 2))
         model = IsotropicGMM(means, 1.0)
         state = select_nearest(ds.points, means, 1)
-        new_state, resp, new_model, _ = lazy_step(ds, model, 0.0, state)
+        resp, new_model, _ = lazy_step(ds, model, 0.0, state)
         k_resp, k_means, _ = kmeans_step(ds, means)
         assert np.array_equal(resp.hard_labels(), k_resp.hard_labels())
         assert np.array_equal(new_model.means, k_means)
@@ -294,9 +294,9 @@ class TestLazyStep:
         means = rng.normal(size=(3, 2))
         state = select_nearest(ds.points, means, 1)
         model = IsotropicGMM(means, 1.0)
-        frozen_labels = state.sets[:, 0]
-        new_state, resp, new_model, _ = lazy_step(ds, model, 1e12, state)
-        assert np.array_equal(new_state.sets, state.sets)
+        frozen_labels = state[:, 0]
+        resp, new_model, _ = lazy_step(ds, model, 1e12, state)
+        assert np.array_equal(resp.support, state)
         # means become the centroids of the frozen partition in one step
         for c in range(3):
             members = ds.points[frozen_labels == c]
@@ -311,17 +311,13 @@ class TestLazyStep:
         model = IsotropicGMM(means, 1.0)
         state_before = binary_responsibilities(state_sets[:, 0], 2)
         j_before = objective_j(points, state_before, means)
-        from tvclust import TruncationState
-
-        new_state, resp, new_model, _ = lazy_step(
-            points, model, 0.2, TruncationState(state_sets, 1)
-        )
-        assert new_state.sets[4, 0] == 0  # reassigned
+        resp, new_model, _ = lazy_step(points, model, 0.2, state_sets)
+        assert resp.support[4, 0] == 0  # reassigned
         j_after = objective_j(points, resp, new_model.means)
         # brute-force check with plain loops
         brute = 0.0
         for i, pt in enumerate(points.points[:, 0]):
-            c = int(new_state.sets[i, 0])
+            c = int(resp.support[i, 0])
             brute += (pt - new_model.means[c, 0]) ** 2
         assert j_after == pytest.approx(brute, rel=1e-12)
         assert j_after < j_before
@@ -337,7 +333,7 @@ class TestSigmaPiStep:
             means,
             np.broadcast_to(0.5 * np.eye(2), (4, 2, 2)).copy(),
         )
-        _, resp, new_model, _ = sigma_pi_step(ds, model)
+        resp, new_model, _ = sigma_pi_step(ds, model)
         k_resp, _, _ = kmeans_step(ds, means)
         assert np.array_equal(resp.hard_labels(), k_resp.hard_labels())
 
@@ -348,7 +344,7 @@ class TestSigmaPiStep:
             np.array([[[4.0]], [[0.25]]]),
         )
         ds = Dataset([[0.0], [0.4]])
-        _, resp, _, _ = sigma_pi_step(ds, model)
+        resp, _, _ = sigma_pi_step(ds, model)
         assert resp.hard_labels()[0] == 1  # tighter cluster wins despite mu_0 = y
 
     def test_recovers_labels_from_ground_truth(self):
@@ -369,7 +365,7 @@ class TestSigmaPiStep:
             true_means,
             np.broadcast_to(0.09 * np.eye(2), (2, 2, 2)).copy(),
         )
-        _, resp, _, _ = sigma_pi_step(ds, model)
+        resp, _, _ = sigma_pi_step(ds, model)
         assert np.array_equal(resp.hard_labels(), ds.labels)
 
 
@@ -387,7 +383,7 @@ class TestEmGmmStep:
         )
         prev = log_likelihood(ds.points, model)
         for _ in range(10):
-            _, _, model, _ = em_gmm_step(ds, model)
+            _, model, _ = em_gmm_step(ds, model)
             cur = log_likelihood(ds.points, model)
             assert cur >= prev - 1e-9 * max(1.0, abs(prev))
             prev = cur

@@ -64,22 +64,24 @@ DATASETS = {
     "dup": (duplicates, dict(c=10, seeding="uniform", seed=2)),
 }
 
-# (dataset, algorithm, seed override); the last case ends in a numeric
-# failure, whose partial trace is recorded as it is annotated.
-CASES = [(name, alg, None) for name in DATASETS for alg in EXTRA] + [
-    ("dup", "sigma_pi", 0)
+# (dataset, algorithm, config overrides).  The C' = C case has a dense
+# support like exact EM, yet records n_changed from its sets and F from the
+# restricted sum; the last case ends in a numeric failure, whose partial
+# trace is recorded as it is annotated.
+CASES = [(name, alg, {}) for name in DATASETS for alg in EXTRA] + [
+    ("uniform", "kmeans_cprime", {"c_prime": 5}),
+    ("dup", "sigma_pi", {"seed": 0}),
 ]
 
 
-def _case_id(name, alg, seed):
-    return f"{name}_{alg}" + ("" if seed is None else f"_seed{seed}")
+def _case_id(name, alg, overrides):
+    return f"{name}_{alg}" + "".join(f"_{k}{v}" for k, v in overrides.items())
 
 
-def _trace(name, alg, seed):
+def _trace(name, alg, overrides):
     make, kwargs = DATASETS[name]
     kwargs = dict(kwargs, max_iters=25, **EXTRA[alg])
-    if seed is not None:
-        kwargs["seed"] = seed
+    kwargs.update(overrides)
     try:
         return run(make(), RunConfig(algorithm=alg, **kwargs)).trace
     except NumericError as exc:
@@ -108,9 +110,9 @@ def test_fixture_covers_reseeds_revivals_and_failure():
     def events(*case):
         return [e for rec in _golden(case) for e in rec["events"]]
 
-    assert any("reseeded" in e for e in events("dup", "kmeans", None))
-    assert any("reseeded" in e for e in events("dup", "sigma_pi", None))
-    assert any("numeric failure" in e for e in events("dup", "sigma_pi", 0))
+    assert any("reseeded" in e for e in events("dup", "kmeans", {}))
+    assert any("reseeded" in e for e in events("dup", "sigma_pi", {}))
+    assert any("numeric failure" in e for e in events("dup", "sigma_pi", {"seed": 0}))
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ from tvclust import (
     ConfigurationError,
     GeneralGMM,
     IsotropicGMM,
-    TruncationState,
     free_energy_trunc,
     lazy_reassign,
     log_joints,
@@ -27,15 +26,15 @@ from conftest import random_instance
 class TestSelectNearest:
     def test_unique_nearest(self):
         state = select_nearest(np.array([[2.0]]), np.array([[0.0], [3.0], [10.0]]), 1)
-        assert state.sets.tolist() == [[1]]
+        assert state.tolist() == [[1]]
 
     def test_full_set_ordered_by_distance(self):
         state = select_nearest(np.array([[2.0]]), np.array([[0.0], [3.0], [10.0]]), 3)
-        assert state.sets.tolist() == [[1, 0, 2]]
+        assert state.tolist() == [[1, 0, 2]]
 
     def test_tie_breaks_to_smallest_index(self):
         state = select_nearest(np.array([[0.0]]), np.array([[-1.0], [1.0]]), 1)
-        assert state.sets.tolist() == [[0]]
+        assert state.tolist() == [[0]]
 
     def test_c_prime_bounds(self):
         means = np.array([[0.0], [1.0]])
@@ -51,8 +50,8 @@ class TestSelectNearest:
         state = select_nearest(points, means, c_prime)
         d2 = squared_distances(points, means)
         for i in range(points.shape[0]):
-            chosen = d2[i, state.sets[i]]
-            others = np.delete(d2[i], state.sets[i])
+            chosen = d2[i, state[i]]
+            others = np.delete(d2[i], state[i])
             assert np.all(np.diff(chosen) >= 0)  # nearest first
             if others.size:
                 assert chosen.max() <= others.min()
@@ -63,27 +62,26 @@ class TestLazyReassign:
         # current distance 1.4, best new 1.0, eps 0.5: 1.5 > 1.4 keeps current
         points = np.array([[0.0]])
         means = np.array([[1.4], [1.0]])
-        state = TruncationState(np.array([[0]]), 1)
+        state = np.array([[0]])
         out = lazy_reassign(points, means, 0.5, state)
-        assert out.sets.tolist() == [[0]]
+        assert out.tolist() == [[0]]
 
     def test_switch_when_improvement_large_enough(self):
         # current distance 1.6, best new 1.0, eps 0.5: 1.5 < 1.6 switches
         points = np.array([[0.0]])
         means = np.array([[1.6], [1.0]])
-        state = TruncationState(np.array([[0]]), 1)
+        state = np.array([[0]])
         out = lazy_reassign(points, means, 0.5, state)
-        assert out.sets.tolist() == [[1]]
+        assert out.tolist() == [[1]]
 
     def test_zero_epsilon_matches_nearest_selection(self):
         points, means = random_instance(21, n_max=30)
-        start = TruncationState(
-            np.random.default_rng(5).integers(0, means.shape[0], size=(len(points), 1)),
-            1,
+        start = np.random.default_rng(5).integers(
+            0, means.shape[0], size=(len(points), 1)
         )
         lazy = lazy_reassign(points, means, 0.0, start)
         nearest = select_nearest(points, means, 1)
-        assert np.array_equal(lazy.sets, nearest.sets)
+        assert np.array_equal(lazy, nearest)
 
     def test_rejects_wide_sets(self):
         points = np.array([[0.0]])
@@ -94,7 +92,7 @@ class TestLazyReassign:
 
     def test_rejects_negative_epsilon(self):
         points = np.array([[0.0]])
-        state = TruncationState(np.array([[0]]), 1)
+        state = np.array([[0]])
         with pytest.raises(ConfigurationError):
             lazy_reassign(points, np.array([[0.0], [1.0]]), -0.1, state)
 
@@ -126,7 +124,7 @@ class TestSigmaPiScore:
             np.broadcast_to(0.3 * np.eye(2), (4, 2, 2)).copy(),
         )
         scores = sigma_pi_scores(points, model)
-        nearest = select_nearest(points, means, 1).sets[:, 0]
+        nearest = select_nearest(points, means, 1)[:, 0]
         assert np.array_equal(np.argmin(scores, axis=1), nearest)
 
     def test_global_weight_scale_shifts_scores_equally(self):
@@ -159,14 +157,14 @@ class TestSigmaPiScore:
         )
         scores = sigma_pi_scores(points, model)
         sets = np.full((6, 1), 2, dtype=np.int64)
-        f0 = free_energy_trunc(points, model, TruncationState(sets, 1))
+        f0 = free_energy_trunc(points, model, sets)
         for i in range(6):
             for cand in range(3):
                 if cand == 2:
                     continue
                 new = sets.copy()
                 new[i, 0] = cand
-                f1 = free_energy_trunc(points, model, TruncationState(new, 1))
+                f1 = free_energy_trunc(points, model, new)
                 if scores[i, cand] < scores[i, 2]:
                     assert f1 > f0
                 else:
@@ -184,7 +182,7 @@ class TestTruncatedResponsibilities:
 
     def test_two_term_softmax_values(self):
         model = IsotropicGMM(np.array([[0.0], [1.0]]), 0.5)
-        state = TruncationState(np.array([[0, 1]]), 2)
+        state = np.array([[0, 1]])
         resp = truncated_responsibilities(np.array([[0.0]]), model, state)
         p = 1.0 / (1.0 + math.exp(-1.0))
         assert resp.weights[0, 0] == pytest.approx(p, abs=1e-12)
@@ -209,15 +207,38 @@ class TestTruncatedResponsibilities:
         assert np.allclose(resp.weights.sum(axis=1), 1.0, atol=1e-12)
         dense = resp.dense()
         off_support = np.ones_like(dense, dtype=bool)
-        np.put_along_axis(off_support, state.sets, False, axis=1)
+        np.put_along_axis(off_support, state, False, axis=1)
         assert np.all(dense[off_support] == 0.0)
 
     def test_rejects_foreign_state(self):
         model = IsotropicGMM(np.array([[0.0], [1.0]]), 1.0)
-        state = TruncationState(np.array([[3]]), 1)
+        state = np.array([[3]])
         with pytest.raises(ConfigurationError):
             truncated_responsibilities(np.array([[0.0]]), model, state)
 
+
+
+BAD_INDEX_SETS = {
+    "at_c": [[2]],
+    "beyond_c": [[5]],
+    "negative": [[-1]],
+    "repeated": [[1, 1]],
+    "not_2d": [0],
+}
+INDEX_CONSUMERS = {
+    "truncated_responsibilities": truncated_responsibilities,
+    "free_energy_trunc": free_energy_trunc,
+    "lazy_reassign": lambda y, model, sets: lazy_reassign(y, model.means, 0.1, sets),
+}
+
+
+@pytest.mark.parametrize("consumer", INDEX_CONSUMERS)
+@pytest.mark.parametrize("bad", BAD_INDEX_SETS)
+def test_bad_index_matrix_is_configuration_error(consumer, bad):
+    # C = 2: every index matrix must be 2-D with distinct entries in [0, 2)
+    model = IsotropicGMM(np.array([[0.0], [1.0]]), 1.0)
+    with pytest.raises(ConfigurationError):
+        INDEX_CONSUMERS[consumer](np.array([[0.0]]), model, np.array(BAD_INDEX_SETS[bad]))
 
 class TestSingleSwapMonotonicity:
     """Exhaustive single-swap checks of the free-energy selection criterion."""
@@ -235,7 +256,7 @@ class TestSingleSwapMonotonicity:
         model = IsotropicGMM(means, float(d2.max()) / 20.0 + 0.05)
         cp = int(rng.integers(1, c))
         sets = np.array([rng.choice(c, size=cp, replace=False) for _ in range(n)])
-        state = TruncationState(sets, cp)
+        state = sets
         f0 = free_energy_trunc(points, model, state)
         for i in range(n):
             for a in sets[i]:
@@ -244,9 +265,7 @@ class TestSingleSwapMonotonicity:
                         continue
                     new_sets = sets.copy()
                     new_sets[i, np.where(new_sets[i] == a)[0][0]] = b
-                    f1 = free_energy_trunc(
-                        points, model, TruncationState(new_sets, cp)
-                    )
+                    f1 = free_energy_trunc(points, model, new_sets)
                     if d2[i, b] < d2[i, a]:
                         assert f1 > f0
                     else:
