@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError, ParseError
-from .models import GeneralGMM, IsotropicGMM, model_to_snapshot
+from .models import GeneralGMM, IsotropicGMM, _centre, model_to_snapshot
 
 GENERATOR_KINDS = ("grid", "uniform", "explicit-gmm")
 
@@ -59,6 +60,12 @@ class Dataset:
     @property
     def d(self):
         return self.points.shape[1]
+
+    @cached_property
+    def centred(self):
+        """``(centre, points - centre, squared row norms)``, centred on the
+        mean: the frame ``models.squared_distances`` works in, made once."""
+        return _centre(self.points)
 
 
 @dataclass(frozen=True)

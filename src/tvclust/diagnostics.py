@@ -86,21 +86,28 @@ def objective_j(dataset, assignments, means):
 
     With hard assignments this is the classic distortion
     sum_n sum_c s_c^(n) |y^(n) - mu_c|^2; weighted rows generalize it so
-    that J = D * N * sigma2 also holds for non-binary posteriors.
+    that J = D * N * sigma2 also holds for non-binary posteriors.  The
+    (N, K) residuals are taken directly, one support column at a time.
     """
     points = _points_of(dataset)
     means = _points_of(means)
     resp = _as_responsibilities(assignments, means.shape[0])
-    diff = points[:, None, :] - means[resp.support]
-    sq = np.einsum("nkd,nkd->nk", diff, diff)
+    sq = np.empty(resp.support.shape)
+    for k in range(sq.shape[1]):
+        diff = points - means[resp.support[:, k]]
+        sq[:, k] = np.einsum("nd,nd->n", diff, diff)
     return float(np.sum(resp.weights * sq))
 
 
-def free_energy_trunc(dataset, model, sets):
-    """(1/N) sum_n log sum_{c in K^(n)} p(c, y^(n)), K^(n) = row n of ``sets``."""
-    points = _points_of(dataset)
-    sets = _index_sets(sets, model.c)
-    lj = log_joints(points, model)
+def free_energy_trunc(dataset, model, sets, lj=None):
+    """(1/N) sum_n log sum_{c in K^(n)} p(c, y^(n)), K^(n) = row n of ``sets``.
+
+    ``sets`` may be the posteriors themselves, whose support is K^(n);
+    ``lj`` is ``log_joints(dataset, model)``, computed unless given.
+    """
+    sets = _index_sets(sets, model.c, _points_of(dataset).shape[0])
+    if lj is None:
+        lj = log_joints(dataset, model)
     sub = np.take_along_axis(lj, sets, axis=1)
     return float(np.mean(logsumexp(sub, axis=1)))
 
@@ -115,10 +122,14 @@ def free_energy_kmeans(c, d, sigma2):
     return -math.log(c) - 0.5 * d * (_LOG_2PI_E + math.log(sigma2))
 
 
-def log_likelihood(dataset, model):
-    """Per-point log-likelihood (1/N) sum_n log sum_c p(c, y^(n))."""
-    points = _points_of(dataset)
-    return float(np.mean(logsumexp(log_joints(points, model), axis=1)))
+def log_likelihood(dataset, model, lj=None):
+    """Per-point log-likelihood (1/N) sum_n log sum_c p(c, y^(n)).
+
+    ``lj`` is ``log_joints(dataset, model)``, computed unless given.
+    """
+    if lj is None:
+        lj = log_joints(dataset, model)
+    return float(np.mean(logsumexp(lj, axis=1)))
 
 
 def kl_gap(dataset, model, assignments):

@@ -17,6 +17,13 @@ the posteriors, whose ``resp.support`` is K^(n), the new model (means for
 ``kmeans_step``) and any reseed events, so ``run`` has one dispatch and
 records every iteration through one path.
 
+Each iteration of ``run`` builds one N x C matrix: squared distances for
+the isotropic family, log-joints for the general one.  The trace record of
+iteration t builds it for the new model; the E-step of iteration t + 1
+(``_e_step``) reads the same matrix and hands its posteriors to the kernel,
+which then runs only the M-step.  Iteration 1 uses the initial state's
+posteriors.
+
 A run converges once the truncation sets (or hard shadow labels for exact
 EM) stop changing and the largest relative parameter change drops below
 ``tol``.  Every iteration appends a TraceRecord; the restricted-sum free
@@ -40,6 +47,7 @@ from .models import (
     Responsibilities,
     _points_of,
     binary_responsibilities,
+    log_joints,
     regularize_covariances,
     responsibilities_exact,
     sigma2_floor,
@@ -51,6 +59,10 @@ from .truncation import (
     sigma_pi_scores,
     truncated_responsibilities,
 )
+
+# Point-cluster pairs per row block of the weighted sums in ``_iso_means``,
+# which bounds its temporary at _BLOCK x D values.
+_BLOCK = 1 << 14
 
 ALGORITHMS = ("kmeans", "em_gmm", "kmeans_cprime", "lazy_kmeans", "sigma_pi")
 SEEDINGS = ("uniform", "dsquared")
@@ -139,7 +151,7 @@ def seed_dsquared(dataset, c, rng, initial=None):
         raise ConfigurationError(f"need 1 <= c <= N, got c={c}, N={n}")
     chosen = np.empty(c, dtype=np.int64)
     chosen[0] = int(rng.integers(n)) if initial is None else int(initial)
-    min_d2 = squared_distances(points, points[chosen[:1]])[:, 0]
+    min_d2 = squared_distances(dataset, points[chosen[:1]])[:, 0]
     for k in range(1, c):
         total = float(min_d2.sum())
         if not np.isfinite(total):
@@ -151,7 +163,7 @@ def seed_dsquared(dataset, c, rng, initial=None):
             idx = int(remaining[rng.integers(remaining.size)])
         chosen[k] = idx
         min_d2 = np.minimum(
-            min_d2, squared_distances(points, points[idx : idx + 1])[:, 0]
+            min_d2, squared_distances(dataset, points[idx : idx + 1])[:, 0]
         )
     return points[chosen].copy()
 
@@ -184,15 +196,20 @@ def _iso_means(points, resp):
     """Weighted means, with zero-mass clusters reseeded by ``_worst_fit``.
 
     Zero-mass clusters sit outside every truncation set, so the reseed
-    leaves the recorded free energy of the isotropic models untouched.
+    leaves the recorded free energy of the isotropic models untouched.  The
+    weighted sums are accumulated in blocks of rows, in point order, so no
+    (N, K, D) temporary is built.
     """
-    d = points.shape[1]
+    n, d = points.shape
     c = resp.n_clusters
     mass = np.zeros(c)
     np.add.at(mass, resp.support.ravel(), resp.weights.ravel())
     wsum = np.zeros((c, d))
-    contrib = (resp.weights[:, :, None] * points[:, None, :]).reshape(-1, d)
-    np.add.at(wsum, resp.support.ravel(), contrib)
+    block = max(1, _BLOCK // resp.support.shape[1])
+    for lo in range(0, n, block):
+        rows = slice(lo, lo + block)
+        contrib = resp.weights[rows, :, None] * points[rows, None, :]
+        np.add.at(wsum, resp.support[rows].ravel(), contrib.reshape(-1, d))
     means = np.zeros((c, d))
     nonempty = mass > 0.0
     means[nonempty] = wsum[nonempty] / mass[nonempty, None]
@@ -209,7 +226,7 @@ def m_step_iso(dataset, resp):
     points = _points_of(dataset)
     n, d = points.shape
     means, events = _iso_means(points, resp)
-    sigma2 = max(objective_j(points, resp, means) / (d * n), sigma2_floor(points))
+    sigma2 = max(objective_j(points, resp, means) / (d * n), sigma2_floor(dataset))
     return IsotropicGMM(means, sigma2), events
 
 
@@ -231,8 +248,10 @@ def m_step_general(dataset, resp):
     means[nonempty] = wsum[nonempty] / mass[nonempty, None]
     gmean = points.mean(axis=0)
     means[~nonempty] = gmean
-    diff = points[:, None, :] - means[None, :, :]
-    covs = np.einsum("nc,ncd,nce->cde", w, diff, diff)
+    covs = np.empty((c, d, d))
+    for k in range(c):
+        diff = points - means[k]
+        covs[k] = np.einsum("nd,ne->de", w[:, k, None] * diff, diff)
     covs[nonempty] /= mass[nonempty, None, None]
     if np.any(~nonempty):
         centered = points - gmean
@@ -283,42 +302,48 @@ def kmeans_step(dataset, means):
     return resp, new_means, events
 
 
-def tvem_step(dataset, model, c_prime):
+def tvem_step(dataset, model, c_prime, resp=None):
     """Full variational iteration: nearest-C' sets, sparse posteriors, M-step.
 
     The recorded free energy never decreases across this step.  With
     c_prime = 1 the mean path coincides with ``kmeans_step``; with
     c_prime = C it is one exact EM iteration for the isotropic model.
+    Like every kernel below, it takes this iteration's posteriors as
+    ``resp`` when the caller has them already (``run`` does) and then only
+    runs the M-step.
     """
-    sets = select_nearest(dataset, model.means, c_prime)
-    resp = truncated_responsibilities(dataset, model, sets)
+    if resp is None:
+        sets = select_nearest(dataset, model.means, c_prime)
+        resp = truncated_responsibilities(dataset, model, sets)
     new_model, events = m_step_iso(dataset, resp)
     return resp, new_model, events
 
 
-def lazy_step(dataset, model, epsilon, sets):
+def lazy_step(dataset, model, epsilon, sets, resp=None):
     """Lazy reassignment of ``sets`` (the last support), then k-means updates."""
-    labels = lazy_reassign(dataset, model.means, epsilon, sets)[:, 0]
-    resp = binary_responsibilities(labels, model.c)
+    if resp is None:
+        labels = lazy_reassign(dataset, model.means, epsilon, sets)[:, 0]
+        resp = binary_responsibilities(labels, model.c)
     new_model, events = m_step_iso(dataset, resp)
     return resp, new_model, events
 
 
-def em_gmm_step(dataset, model):
+def em_gmm_step(dataset, model, resp=None):
     """One exact EM iteration for the general weighted mixture."""
     points = _points_of(dataset)
-    resp = responsibilities_exact(points, model)
+    if resp is None:
+        resp = responsibilities_exact(dataset, model)
     new_model, events = _m_step_general_revived(points, resp, model)
     return resp, new_model, events
 
 
-def _score_argmin(points, model):
+def _score_argmin(dataset, model, lj=None):
     """Binary posteriors on the singleton set at each point's minimal score."""
-    labels = np.argmin(sigma_pi_scores(points, model), axis=1)
+    labels = np.argmin(sigma_pi_scores(dataset, model, lj), axis=1)
     return binary_responsibilities(labels, model.c)
 
 
-def sigma_pi_step(dataset, model):
+def sigma_pi_step(dataset, model, resp=None):
     """Hard assignment by minimal score, then the general-model M-step.
 
     The score argmin is a full singleton-set E-step for the general model;
@@ -326,7 +351,8 @@ def sigma_pi_step(dataset, model):
     nearest-center rule.
     """
     points = _points_of(dataset)
-    resp = _score_argmin(points, model)
+    if resp is None:
+        resp = _score_argmin(dataset, model)
     new_model, events = _m_step_general_revived(points, resp, model)
     return resp, new_model, events
 
@@ -349,19 +375,52 @@ def _rel_change(old, new):
     return float(np.max(np.abs(b - a))) / max(1.0, float(np.max(np.abs(a))))
 
 
-def _count_changed(old, new, exact):
-    """Points whose unordered set (hard shadow label for exact EM) changed."""
-    if exact:
-        return int(np.sum(old.hard_labels() != new.hard_labels()))
-    changed = np.sort(old.support, axis=1) != np.sort(new.support, axis=1)
-    return int(np.sum(np.any(changed, axis=1)))
+def _set_key(resp, exact):
+    """What ``n_changed`` compares: each point's sorted set, or its hard
+    shadow label for exact EM.  ``run`` carries the last one."""
+    return resp.hard_labels()[:, None] if exact else np.sort(resp.support, axis=1)
 
 
-def _record(iteration, points, model, resp, exact, n_changed, events):
+def _matrix(dataset, model):
+    """The one N x C matrix an iteration builds, for ``model``: squared
+    distances to the means for the isotropic family, log-joints for the
+    general one."""
+    if isinstance(model, IsotropicGMM):
+        return squared_distances(dataset, model.means)
+    return log_joints(dataset, model)
+
+
+def _joints(dataset, model, dist):
+    """Log-joints from ``dist = _matrix(dataset, model)``, elementwise."""
+    return log_joints(dataset, model, dist) if isinstance(model, IsotropicGMM) else dist
+
+
+def _e_step(dataset, model, config, dist, last):
+    """The configured selection rule's posteriors at ``model``, read off
+    ``dist = _matrix(dataset, model)``.  Lazy k-means keeps the support of
+    ``last``, the posteriors (or index matrix) it starts from.
+
+    Nearest-C' and lazy selection rank squared distances, not log-joints,
+    so ties break as the distances say.
+    """
+    if config.algorithm == "lazy_kmeans":
+        labels = lazy_reassign(dataset, model.means, config.epsilon, last, dist)
+        return binary_responsibilities(labels[:, 0], model.c)
+    if config.algorithm == "em_gmm":
+        return responsibilities_exact(dataset, model, dist)
+    if config.algorithm == "sigma_pi":
+        return _score_argmin(dataset, model, dist)
+    sets = select_nearest(dataset, model.means, config.c_prime or 1, dist)
+    return truncated_responsibilities(dataset, model, sets, _joints(dataset, model, dist))
+
+
+def _record(iteration, dataset, model, resp, dist, exact, n_changed, events):
+    points = _points_of(dataset)
     n, d = points.shape
+    lj = _joints(dataset, model, dist)
     j = objective_j(points, resp, model.means)
-    ll = log_likelihood(points, model)
-    f = ll if exact else free_energy_trunc(points, model, resp.support)
+    ll = log_likelihood(dataset, model, lj)
+    f = ll if exact else free_energy_trunc(dataset, model, resp, lj)
     return TraceRecord(
         iteration=iteration,
         J=j,
@@ -374,27 +433,39 @@ def _record(iteration, points, model, resp, exact, n_changed, events):
     )
 
 
-def _initial_state(points, config, rng):
+def _initial_state(dataset, config, rng):
+    """Seeded model, its ``_matrix`` and the posteriors of its E-step."""
+    points = dataset.points
     n, d = points.shape
     seed = seed_uniform if config.seeding == "uniform" else seed_dsquared
-    means0 = seed(points, config.c, rng)
-    nearest1 = select_nearest(points, means0, 1)
+    means0 = seed(dataset, config.c, rng)
+    d2 = squared_distances(dataset, means0)
+    nearest1 = select_nearest(dataset, means0, 1, d2)
     sigma2_0 = max(
         objective_j(points, nearest1[:, 0], means0) / (d * n),
-        sigma2_floor(points),
+        sigma2_floor(dataset),
     )
     if not np.isfinite(sigma2_0):
         raise NumericError(f"initial sigma2 {sigma2_0} is not finite (overflow)")
     if config.algorithm in ("em_gmm", "sigma_pi"):
         covs0 = np.broadcast_to(sigma2_0 * np.eye(d), (config.c, d, d)).copy()
         model = GeneralGMM(np.full(config.c, 1.0 / config.c), means0, covs0)
-        if config.algorithm == "em_gmm":
-            return model, responsibilities_exact(points, model)
-        return model, _score_argmin(points, model)
-    cp = config.c_prime or 1
-    model = IsotropicGMM(means0, sigma2_0)
-    sets = nearest1 if cp == 1 else select_nearest(points, means0, cp)
-    return model, truncated_responsibilities(points, model, sets)
+        dist = _matrix(dataset, model)
+    else:
+        model = IsotropicGMM(means0, sigma2_0)
+        dist = d2
+    return model, dist, _e_step(dataset, model, config, dist, nearest1)
+
+
+def _kernel(dataset, model, config, resp):
+    """The configured kernel, handed this iteration's posteriors ``resp``."""
+    if config.algorithm == "lazy_kmeans":
+        return lazy_step(dataset, model, config.epsilon, resp.support, resp)
+    if config.algorithm == "em_gmm":
+        return em_gmm_step(dataset, model, resp)
+    if config.algorithm == "sigma_pi":
+        return sigma_pi_step(dataset, model, resp)
+    return tvem_step(dataset, model, config.c_prime or 1, resp)
 
 
 def run(dataset, config):
@@ -404,6 +475,11 @@ def run(dataset, config):
     iteration plus an initial record for the seeded state; numeric failures
     are annotated on the trace and re-raised.  Data whose squared distances
     overflow raise ``NumericError`` before the first record.
+
+    Each iteration builds one N x C matrix (``_matrix``): the record of
+    iteration t builds it for the new model, and the E-step of iteration
+    t + 1 reads the same matrix.  Iteration 1's E-step is the initial
+    state's, which already ran on the seeded model.
     """
     if not isinstance(dataset, Dataset):
         dataset = Dataset(np.asarray(dataset))
@@ -411,28 +487,26 @@ def run(dataset, config):
         raise ConfigurationError(
             f"c={config.c} exceeds the number of data points N={dataset.n}"
         )
-    points = dataset.points
     rng = make_rng(config.seed)
     # Only exact EM records F = L and counts hard labels (C' = C is dense too).
     exact = config.algorithm == "em_gmm"
-    model, resp = _initial_state(points, config, rng)
-    trace = [_record(0, points, model, resp, exact, dataset.n, [])]
+    model, dist, resp = _initial_state(dataset, config, rng)
+    key = _set_key(resp, exact)
+    trace = [_record(0, dataset, model, resp, dist, exact, dataset.n, [])]
     reason = "max_iters"
+    new_resp = resp
     for it in range(1, config.max_iters + 1):
         try:
-            if config.algorithm == "lazy_kmeans":
-                out = lazy_step(dataset, model, config.epsilon, resp.support)
-            elif exact:
-                out = em_gmm_step(dataset, model)
-            elif config.algorithm == "sigma_pi":
-                out = sigma_pi_step(dataset, model)
-            else:
-                out = tvem_step(dataset, model, config.c_prime or 1)
-            new_resp, new_model, events = out
-            n_changed = _count_changed(resp, new_resp, exact)
+            if it > 1:
+                new_resp = _e_step(dataset, model, config, dist, resp)
+            dist = None  # its last reader was the E-step; free it before the next
+            _, new_model, events = _kernel(dataset, model, config, new_resp)
+            new_key = _set_key(new_resp, exact)
+            n_changed = int(np.sum(np.any(key != new_key, axis=1)))
             rel = _rel_change(model, new_model)
-            model, resp = new_model, new_resp
-            trace.append(_record(it, points, model, resp, exact, n_changed, events))
+            model, resp, key = new_model, new_resp, new_key
+            dist = _matrix(dataset, model)
+            trace.append(_record(it, dataset, model, resp, dist, exact, n_changed, events))
         except NumericError as exc:
             trace[-1].events.append(f"numeric failure at iteration {it}: {exc}")
             exc.trace = trace

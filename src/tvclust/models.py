@@ -8,7 +8,11 @@ Two model families are supported:
   Sigma_c.
 
 All mixture sums are evaluated in log space with max shifting so that the
-small-variance regime does not underflow.
+small-variance regime does not underflow.  Squared distances take the GEMM
+form on mean-centred data and the general model whitens through inverse
+Cholesky factors, so no (N, C, D) temporary is built.  ``log_joints`` and
+``responsibilities_exact`` take an already built matrix, which lets one
+iteration of the fitting loop build a single N x C matrix.
 """
 
 from __future__ import annotations
@@ -35,8 +39,10 @@ def logsumexp(a, axis=-1):
     a = np.asarray(a, dtype=np.float64)
     amax = np.max(a, axis=axis, keepdims=True)
     amax = np.where(np.isfinite(amax), amax, 0.0)
+    shifted = a - amax
+    np.exp(shifted, out=shifted)
     with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(a - amax), axis=axis))
+        out = np.log(np.sum(shifted, axis=axis))
     return out + np.squeeze(amax, axis=axis)
 
 
@@ -49,12 +55,40 @@ def _points_of(dataset):
     return points
 
 
+def _centre(points):
+    """``(centre, y, yy)``: the data mean, ``y = points - centre`` and the
+    squared row norms of ``y``, all read-only."""
+    centre = points.mean(axis=0)
+    y = points - centre
+    yy = np.einsum("nd,nd->n", y, y)
+    for arr in (centre, y, yy):
+        arr.setflags(write=False)
+    return centre, y, yy
+
+
+def _frame(points):
+    """The centred frame of ``points``; a ``Dataset`` makes its own once."""
+    frame = getattr(points, "centred", None)
+    return frame if frame is not None else _centre(_points_of(points))
+
+
 def squared_distances(points, means):
-    """Pairwise squared Euclidean distances, shape (N, C)."""
-    points = _points_of(points)
-    means = _points_of(means)
-    diff = points[:, None, :] - means[None, :, :]
-    return np.einsum("ncd,ncd->nc", diff, diff)
+    """Pairwise squared Euclidean distances, shape (N, C).
+
+    GEMM form |y|^2 - 2 y.mu + |mu|^2 in the frame of the data centred on
+    their mean, so large offsets do not cancel; a ``Dataset`` centres its
+    points once and keeps them.  Rounding can leave a true zero slightly
+    negative, so the result is clamped at 0.  Overflowing data give inf or
+    NaN entries, which callers report as a ``NumericError``.
+    """
+    centre, y, yy = _frame(points)
+    mu = _points_of(means) - centre
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = y @ mu.T
+        out *= -2.0
+        out += yy[:, None]
+        out += np.einsum("cd,cd->c", mu, mu)
+    return np.maximum(out, 0.0, out=out)
 
 
 def sigma2_floor(points):
@@ -64,9 +98,7 @@ def sigma2_floor(points):
     with an absolute guard so that degenerate single-point data still yields
     a positive floor (a zero variance would make every log density infinite).
     """
-    points = _points_of(points)
-    centered = points - points.mean(axis=0)
-    msq = float(np.mean(np.einsum("nd,nd->n", centered, centered)))
+    msq = float(np.mean(_frame(points)[2]))
     return max(1e-12 * msq, float(np.finfo(np.float64).tiny))
 
 
@@ -136,17 +168,32 @@ class GeneralGMM(_Mixture):
         object.__setattr__(self, "covs", covs)
 
 
-def _index_sets(support, c):
+def _index_sets(support, c, n=None):
     """Read-only int64 copy of an (N, K) index matrix whose rows hold 1 to C
-    distinct indices in [0, C); raises ``ConfigurationError`` otherwise."""
-    support = _as_readonly(support, dtype=np.int64)
-    if support.ndim != 2 or not 1 <= support.shape[1] <= c:
-        raise ConfigurationError(f"index sets must be an (N, K) matrix, 1 <= K <= {c}")
-    if np.any(support < 0) or np.any(support >= c):
-        raise ConfigurationError(f"cluster indices must lie in [0, {c})")
-    srt = np.sort(support, axis=1)
-    if np.any(srt[:, 1:] == srt[:, :-1]):
-        raise ConfigurationError("cluster indices must be distinct per point")
+    distinct indices in [0, C), with ``n`` rows when ``n`` is given; raises
+    ``ConfigurationError`` otherwise.
+
+    A ``Responsibilities`` over C clusters stands for its support, which was
+    checked when it was built, so it is not checked again.
+    """
+    if isinstance(support, Responsibilities) and support.n_clusters == c:
+        support = support.support
+    else:
+        support = _as_readonly(getattr(support, "support", support), dtype=np.int64)
+        if support.ndim != 2 or not 1 <= support.shape[1] <= c:
+            raise ConfigurationError(
+                f"index sets must be an (N, K) matrix, 1 <= K <= {c}"
+            )
+        if np.any(support < 0) or np.any(support >= c):
+            raise ConfigurationError(f"cluster indices must lie in [0, {c})")
+        if support.shape[1] > 1:
+            srt = np.sort(support, axis=1)
+            if np.any(srt[:, 1:] == srt[:, :-1]):
+                raise ConfigurationError("cluster indices must be distinct per point")
+    if n is not None and support.shape[0] != n:
+        raise ConfigurationError(
+            f"index sets have {support.shape[0]} rows for {n} points"
+        )
     return support
 
 
@@ -165,8 +212,18 @@ class Responsibilities:
     n_clusters: int
 
     def __post_init__(self):
-        support = _index_sets(self.support, self.n_clusters)
-        weights = _as_readonly(self.weights)
+        self._set(_index_sets(self.support, self.n_clusters), self.weights)
+
+    @classmethod
+    def _on_checked(cls, support, weights, n_clusters):
+        """Build on a support that ``_index_sets`` has just returned."""
+        resp = object.__new__(cls)
+        object.__setattr__(resp, "n_clusters", n_clusters)
+        resp._set(support, weights)
+        return resp
+
+    def _set(self, support, weights):
+        weights = _as_readonly(weights)
         if support.shape != weights.shape:
             raise ConfigurationError("support and weights must share shape (N, K)")
         if np.any(weights < 0.0):
@@ -206,23 +263,30 @@ def binary_responsibilities(labels, n_clusters):
     return Responsibilities(labels, np.ones_like(labels, dtype=np.float64), n_clusters)
 
 
-def log_joints(points, model):
+def log_joints(points, model, d2=None):
     """Matrix of log p(c, y^(n)) with shape (N, C) for either model family.
 
-    For the general model the entry is log pi_c - (1/2) log|2 pi Sigma_c|
-    - (1/2) (y-mu_c)^T Sigma_c^{-1} (y-mu_c); the Mahalanobis term goes
-    through the Cholesky factor, the covariance is never inverted.  Raises
-    ``NumericError`` if a covariance is not positive definite.
+    For the isotropic model the entry is -log C - (D/2) log(2 pi sigma2)
+    - d2 / (2 sigma2), with ``d2`` the squared distances to the means
+    (computed unless given).  For the general model it is log pi_c
+    - (1/2) log|2 pi Sigma_c| - (1/2) |L_c^{-1} (y - mu_c)|^2, L_c the
+    Cholesky factor of Sigma_c: each cluster whitens its residuals with one
+    product by the D x D inverse factor, the covariance itself is never
+    inverted.  Raises ``NumericError`` if a covariance is not positive
+    definite.
     """
-    points = _points_of(points)
     if isinstance(model, IsotropicGMM):
-        d2 = squared_distances(points, model.means)
+        if d2 is None:
+            d2 = squared_distances(points, model.means)
         norm = -math.log(model.c) - 0.5 * model.d * math.log(
             2.0 * math.pi * model.sigma2
         )
-        return norm - d2 / (2.0 * model.sigma2)
+        out = d2 / (2.0 * model.sigma2)
+        return np.subtract(norm, out, out=out)
+    points = _points_of(points)
     n, d = points.shape
     out = np.empty((n, model.c))
+    eye = np.eye(d)
     with np.errstate(divide="ignore"):
         logw = np.log(model.weights)
     for c in range(model.c):
@@ -232,8 +296,8 @@ def log_joints(points, model):
             raise NumericError(
                 f"covariance of cluster {c} is not positive definite"
             ) from None
-        z = np.linalg.solve(chol, (points - model.means[c]).T)
-        maha = np.einsum("dn,dn->n", z, z)
+        z = (points - model.means[c]) @ np.linalg.solve(chol, eye).T
+        maha = np.einsum("nd,nd->n", z, z)
         logdet = d * _LOG_2PI + 2.0 * np.sum(np.log(np.diag(chol)))
         out[:, c] = logw[c] - 0.5 * (logdet + maha)
     return out
@@ -249,14 +313,17 @@ def log_density_iso(y, c, model):
     )
 
 
-def responsibilities_exact(dataset, model):
-    """Dense posterior p(c | y^(n)) for every point, via log-sum-exp."""
-    points = _points_of(dataset)
-    lj = log_joints(points, model)
+def responsibilities_exact(dataset, model, lj=None):
+    """Dense posterior p(c | y^(n)) for every point, via log-sum-exp.
+
+    ``lj`` is ``log_joints(dataset, model)``, computed unless given.
+    """
+    if lj is None:
+        lj = log_joints(dataset, model)
     weights = np.exp(lj - logsumexp(lj, axis=1)[:, None])
     weights = weights / weights.sum(axis=1, keepdims=True)
-    support = np.broadcast_to(np.arange(model.c), weights.shape)
-    return Responsibilities(support.copy(), weights, model.c)
+    support = _as_readonly(np.broadcast_to(np.arange(model.c), weights.shape), np.int64)
+    return Responsibilities._on_checked(support, weights, model.c)
 
 
 def regularize_covariances(covs):

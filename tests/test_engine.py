@@ -491,3 +491,75 @@ class TestOneDimensionalGeneralModels:
         fs = [r.F for r in res.trace]
         for a, b in zip(fs, fs[1:]):
             assert b >= a - 1e-9 * max(1.0, abs(a))
+
+
+ALL_ALGORITHMS = [
+    ("kmeans", {}),
+    ("kmeans_cprime", {"c_prime": 2}),
+    ("lazy_kmeans", {"epsilon": 0.1}),
+    ("em_gmm", {}),
+    ("sigma_pi", {}),
+]
+
+
+def _count_calls(monkeypatch, module_name, name, counted=lambda *args: True):
+    """Wrap ``name`` in every tvclust module holding it; return the count list."""
+    import sys
+
+    original = getattr(sys.modules[f"tvclust.{module_name}"], name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        if counted(*args):
+            calls.append(1)
+        return original(*args, **kwargs)
+
+    for modname, module in list(sys.modules.items()):
+        if modname.startswith("tvclust") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestOneMatrixPerIteration:
+    """``run`` builds one N x C matrix per iteration: squared distances for
+    the isotropic family, general log-joints for the general one, plus the
+    seeding's and the initial state's."""
+
+    @pytest.mark.parametrize("seeding", ["uniform", "dsquared"])
+    @pytest.mark.parametrize("algorithm,extra", ALL_ALGORITHMS)
+    def test_builds_per_iteration(self, monkeypatch, algorithm, extra, seeding):
+        ds = blob_dataset(4)
+        c = 4
+        dist = _count_calls(monkeypatch, "models", "squared_distances")
+        general = _count_calls(
+            monkeypatch, "models", "log_joints", lambda y, model, *rest: hasattr(model, "covs")
+        )
+        cfg = RunConfig(
+            algorithm=algorithm, c=c, seeding=seeding, max_iters=6, tol=0.0, seed=1, **extra
+        )
+        iterations = len(run(ds, cfg).trace) - 1
+        assert iterations == 6
+        seeding_calls = c if seeding == "dsquared" else 0
+        if algorithm in ("em_gmm", "sigma_pi"):
+            # iso distances only for seeding and the initial variance
+            assert len(dist) == seeding_calls + 1
+            assert len(general) == 1 + iterations
+        else:
+            assert len(dist) == seeding_calls + 1 + iterations
+            assert len(general) == 0
+
+    @pytest.mark.parametrize("algorithm,extra", ALL_ALGORITHMS)
+    def test_support_checked_at_most_once_per_iteration(self, monkeypatch, algorithm, extra):
+        from tvclust.models import Responsibilities
+
+        def checks(max_iters):
+            calls = _count_calls(
+                monkeypatch, "models", "_index_sets",
+                lambda support, *rest: not isinstance(support, Responsibilities),
+            )
+            cfg = RunConfig(algorithm=algorithm, c=4, max_iters=max_iters, tol=0.0, seed=2, **extra)
+            run(blob_dataset(5), cfg)
+            monkeypatch.undo()
+            return len(calls)
+
+        assert checks(6) - checks(1) <= 5

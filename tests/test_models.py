@@ -231,6 +231,66 @@ def test_squared_distances_matches_loops():
             )
 
 
+def _broadcast_d2(points, means):
+    diff = points[:, None, :] - means[None, :, :]
+    return np.einsum("ncd,ncd->nc", diff, diff)
+
+
+class TestSquaredDistancesGemm:
+    """The centred GEMM form against the direct (N, C, D) broadcast."""
+
+    @pytest.mark.parametrize("offset", [0.0, 1e5, 1e8])
+    def test_matches_broadcast_oracle(self, offset):
+        rng = np.random.default_rng(3)
+        points = offset + rng.uniform(0.0, 16.0, size=(200, 16))
+        means = offset + rng.uniform(0.0, 16.0, size=(30, 16))
+        d2 = squared_distances(points, means)
+        want = _broadcast_d2(points, means)
+        # error of |y|^2 - 2 y.mu + |mu|^2 on data centred to spread ~16
+        assert np.allclose(d2, want, rtol=1e-12, atol=1e-12 * 16.0 * 16.0**2)
+
+    def test_dataset_frame_matches_array(self):
+        from tvclust import Dataset
+
+        rng = np.random.default_rng(4)
+        ds = Dataset(1e5 + rng.normal(size=(50, 3)))
+        means = ds.points[:7] + 0.5
+        assert np.array_equal(squared_distances(ds, means), squared_distances(ds.points, means))
+
+    def test_one_dimension(self):
+        points = np.array([[0.0], [1.0], [3.0], [-2.5]])
+        means = np.array([[1.0], [-1.0]])
+        assert np.allclose(squared_distances(points, means), _broadcast_d2(points, means))
+        assert squared_distances(points[:, 0], means[:, 0]).shape == (4, 2)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e5, 1e8])
+    def test_nonnegative_where_a_mean_is_a_point(self, offset):
+        rng = np.random.default_rng(5)
+        points = offset + rng.normal(scale=3.0, size=(100, 5))
+        d2 = squared_distances(points, points[::7])
+        assert np.all(d2 >= 0.0)
+        rows = np.arange(0, 100, 7)
+        assert np.all(d2[rows, np.arange(rows.size)] <= 1e-12 * 9.0 * 5 * 16)
+
+
+def test_general_log_joints_match_per_point_solve():
+    rng = np.random.default_rng(6)
+    c, d = 4, 3
+    a = rng.normal(size=(c, d, d))
+    covs = a @ np.transpose(a, (0, 2, 1)) + 0.1 * np.eye(d)
+    weights = rng.random(c)
+    model = GeneralGMM(weights / weights.sum(), 50.0 + rng.normal(size=(c, d)), covs)
+    points = 50.0 + rng.normal(scale=2.0, size=(40, d))
+    lj = log_joints(points, model)
+    for n in range(points.shape[0]):
+        for k in range(c):
+            diff = points[n] - model.means[k]
+            maha = float(diff @ np.linalg.solve(covs[k], diff))
+            _, logdet = np.linalg.slogdet(2.0 * math.pi * covs[k])
+            want = math.log(model.weights[k]) - 0.5 * (logdet + maha)
+            assert lj[n, k] == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+
 class TestZeroWeightComponents:
     def test_zero_weight_gets_zero_responsibility_and_infinite_score(self):
         from tvclust import responsibilities_exact, sigma_pi_scores

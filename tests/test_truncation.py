@@ -240,6 +240,27 @@ def test_bad_index_matrix_is_configuration_error(consumer, bad):
     with pytest.raises(ConfigurationError):
         INDEX_CONSUMERS[consumer](np.array([[0.0]]), model, np.array(BAD_INDEX_SETS[bad]))
 
+@pytest.mark.parametrize("consumer", INDEX_CONSUMERS)
+def test_index_matrix_row_count_must_match_points(consumer):
+    # three points, a two-row index matrix
+    model = IsotropicGMM(np.array([[0.0], [1.0]]), 1.0)
+    points = np.array([[0.0], [0.5], [1.0]])
+    with pytest.raises(ConfigurationError, match="2 rows for 3 points"):
+        INDEX_CONSUMERS[consumer](points, model, np.array([[0], [1]]))
+
+
+@pytest.mark.parametrize("c_prime", [1, 2, 3, 5])
+def test_select_nearest_is_stable_argsort_under_ties(c_prime):
+    # integer grid points and centres: many exactly tied distances
+    rng = np.random.default_rng(8)
+    points = rng.integers(0, 4, size=(300, 2)).astype(float)
+    means = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0]])
+    d2 = squared_distances(points, means)
+    want = np.argsort(d2, axis=1, kind="stable")[:, :c_prime]
+    assert np.array_equal(select_nearest(points, means, c_prime), want)
+    assert np.array_equal(select_nearest(points, means, c_prime, d2), want)
+
+
 class TestSingleSwapMonotonicity:
     """Exhaustive single-swap checks of the free-energy selection criterion."""
 
