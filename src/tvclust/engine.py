@@ -1,28 +1,30 @@
 """Seeding, M-steps, iteration kernels, and the convergence loop.
 
 Each algorithm pairs a selection rule, which picks every point's
-truncation set K^(n) (the E-step), with the M-step of one model family:
+truncation set K^(n) (the E-step), with the M-step of one model family.
+One table, ``_PAIRS``, holds the pairing and the parameter each algorithm
+takes; the algorithm name is looked up nowhere else:
 
     algorithm       selection rule                        M-step family
     kmeans          nearest center                        isotropic
     kmeans_cprime   nearest C' centers                    isotropic
     lazy_kmeans     lazy switch of a carried singleton    isotropic
-    em_gmm          none (exact posteriors)               general
-    sigma_pi        singleton at the score argmin         general
+    em_gmm          full (exact posteriors)               general
+    sigma_pi        nearest singleton, ranked by score    general
 
 k-means still updates the shared variance each iteration; it never feeds
 back into the mean path, whose updates are variance-independent for
 singleton sets.  All five kernels return ``(resp, model|means, events)``:
 the posteriors, whose ``resp.support`` is K^(n), the new model (means for
-``kmeans_step``) and any reseed events, so ``run`` has one dispatch and
-records every iteration through one path.
+``kmeans_step``) and any reseed events.  Every kernel but ``kmeans_step``
+is ``_e_step`` of its rule followed by its family's M-step.
 
-Each iteration of ``run`` builds one N x C matrix: squared distances for
-the isotropic family, log-joints for the general one.  The trace record of
-iteration t builds it for the new model; the E-step of iteration t + 1
-(``_e_step``) reads the same matrix and hands its posteriors to the kernel,
-which then runs only the M-step.  Iteration 1 uses the initial state's
-posteriors.
+Each iteration of ``run`` builds its matrices once (``_matrices``): the
+log-joints, plus the squared distances they come from for the isotropic
+family.  The trace record of iteration t builds them for the new model;
+the E-step of iteration t + 1 reads the same pair and hands its
+posteriors to the family's M-step kernel, ``tvem_step`` or
+``em_gmm_step``.  Iteration 1 uses the initial state's posteriors.
 
 A run converges once the truncation sets (or hard shadow labels for exact
 EM) stop changing and the largest relative parameter change drops below
@@ -60,11 +62,16 @@ from .truncation import (
     truncated_responsibilities,
 )
 
-# Point-cluster pairs per row block of the weighted sums in ``_iso_means``,
-# which bounds its temporary at _BLOCK x D values.
-_BLOCK = 1 << 14
-
-ALGORITHMS = ("kmeans", "em_gmm", "kmeans_cprime", "lazy_kmeans", "sigma_pi")
+# algorithm -> (selection rule, M-step family, the parameter it takes).  It
+# holds names, not functions, so every call goes through module globals.
+_PAIRS = {
+    "kmeans": ("nearest", "iso", None),
+    "em_gmm": ("full", "general", None),
+    "kmeans_cprime": ("nearest", "iso", "c_prime"),
+    "lazy_kmeans": ("lazy", "iso", "epsilon"),
+    "sigma_pi": ("nearest", "general", None),
+}
+ALGORITHMS = tuple(_PAIRS)
 SEEDINGS = ("uniform", "dsquared")
 
 
@@ -82,24 +89,20 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
+        if self.algorithm not in _PAIRS:
             raise ConfigurationError(f"unknown algorithm {self.algorithm!r}")
         if self.c < 1:
             raise ConfigurationError("c must be >= 1")
-        if self.algorithm == "kmeans_cprime":
-            if self.c_prime is None:
-                raise ConfigurationError("kmeans_cprime requires c_prime")
-            if not 1 <= self.c_prime <= self.c:
-                raise ConfigurationError("c_prime must be in [1, c]")
-        elif self.c_prime is not None:
-            raise ConfigurationError(f"{self.algorithm} does not take c_prime")
-        if self.algorithm == "lazy_kmeans":
-            if self.epsilon is None:
-                raise ConfigurationError("lazy_kmeans requires epsilon")
-            if self.epsilon < 0:
-                raise ConfigurationError("epsilon must be >= 0")
-        elif self.epsilon is not None:
-            raise ConfigurationError(f"{self.algorithm} does not take epsilon")
+        takes = _PAIRS[self.algorithm][2]
+        for name in ("c_prime", "epsilon"):
+            given = getattr(self, name) is not None
+            if given != (name == takes):
+                verb = "does not take" if given else "requires"
+                raise ConfigurationError(f"{self.algorithm} {verb} {name}")
+        if self.c_prime is not None and not 1 <= self.c_prime <= self.c:
+            raise ConfigurationError("c_prime must be in [1, c]")
+        if self.epsilon is not None and not self.epsilon >= 0:
+            raise ConfigurationError("epsilon must be >= 0")
         if self.seeding not in SEEDINGS:
             raise ConfigurationError(f"unknown seeding {self.seeding!r}")
         if self.max_iters < 0:
@@ -192,26 +195,20 @@ def _worst_fit(points, resp, means, empty):
     return means, events
 
 
-def _iso_means(points, resp):
+def _weighted_means(points, resp):
     """Weighted means, with zero-mass clusters reseeded by ``_worst_fit``.
 
     Zero-mass clusters sit outside every truncation set, so the reseed
     leaves the recorded free energy of the isotropic models untouched.  The
-    weighted sums are accumulated in blocks of rows, in point order, so no
-    (N, K, D) temporary is built.
+    einsum calls no BLAS and sums over the points in order, so the means do
+    not depend on the BLAS thread count; its (D, C) target keeps the inner
+    loop on the contiguous cluster axis, several times faster than (C, D).
     """
-    n, d = points.shape
-    c = resp.n_clusters
-    mass = np.zeros(c)
-    np.add.at(mass, resp.support.ravel(), resp.weights.ravel())
-    wsum = np.zeros((c, d))
-    block = max(1, _BLOCK // resp.support.shape[1])
-    for lo in range(0, n, block):
-        rows = slice(lo, lo + block)
-        contrib = resp.weights[rows, :, None] * points[rows, None, :]
-        np.add.at(wsum, resp.support[rows].ravel(), contrib.reshape(-1, d))
-    means = np.zeros((c, d))
+    w = resp.dense()
+    mass = w.sum(axis=0)
     nonempty = mass > 0.0
+    means = np.zeros((resp.n_clusters, points.shape[1]))
+    wsum = np.einsum("nc,nd->dc", w, points).T
     means[nonempty] = wsum[nonempty] / mass[nonempty, None]
     return _worst_fit(points, resp, means, np.flatnonzero(~nonempty))
 
@@ -225,7 +222,7 @@ def m_step_iso(dataset, resp):
     """
     points = _points_of(dataset)
     n, d = points.shape
-    means, events = _iso_means(points, resp)
+    means, events = _weighted_means(points, resp)
     sigma2 = max(objective_j(points, resp, means) / (d * n), sigma2_floor(dataset))
     return IsotropicGMM(means, sigma2), events
 
@@ -298,8 +295,7 @@ def kmeans_step(dataset, means):
     means = _points_of(means)
     labels = select_nearest(points, means, 1)[:, 0]
     resp = binary_responsibilities(labels, means.shape[0])
-    new_means, events = _iso_means(points, resp)
-    return resp, new_means, events
+    return (resp, *_weighted_means(points, resp))
 
 
 def tvem_step(dataset, model, c_prime, resp=None):
@@ -308,53 +304,40 @@ def tvem_step(dataset, model, c_prime, resp=None):
     The recorded free energy never decreases across this step.  With
     c_prime = 1 the mean path coincides with ``kmeans_step``; with
     c_prime = C it is one exact EM iteration for the isotropic model.
-    Like every kernel below, it takes this iteration's posteriors as
-    ``resp`` when the caller has them already (``run`` does) and then only
-    runs the M-step.
+    Given this iteration's posteriors as ``resp`` (``run`` passes them for
+    every isotropic algorithm), it runs only the M-step.
     """
     if resp is None:
-        sets = select_nearest(dataset, model.means, c_prime)
-        resp = truncated_responsibilities(dataset, model, sets)
-    new_model, events = m_step_iso(dataset, resp)
-    return resp, new_model, events
+        resp = _e_step(dataset, model, "nearest", *_matrices(dataset, model), c_prime, None, None)
+    return (resp, *m_step_iso(dataset, resp))
 
 
-def lazy_step(dataset, model, epsilon, sets, resp=None):
+def lazy_step(dataset, model, epsilon, sets):
     """Lazy reassignment of ``sets`` (the last support), then k-means updates."""
-    if resp is None:
-        labels = lazy_reassign(dataset, model.means, epsilon, sets)[:, 0]
-        resp = binary_responsibilities(labels, model.c)
-    new_model, events = m_step_iso(dataset, resp)
-    return resp, new_model, events
+    resp = _e_step(dataset, model, "lazy", *_matrices(dataset, model), None, epsilon, sets)
+    return (resp, *m_step_iso(dataset, resp))
 
 
 def em_gmm_step(dataset, model, resp=None):
-    """One exact EM iteration for the general weighted mixture."""
-    points = _points_of(dataset)
+    """One exact EM iteration for the general weighted mixture.
+
+    Given posteriors as ``resp`` (``run`` passes them for both general
+    algorithms), it runs only the general M-step.
+    """
     if resp is None:
-        resp = responsibilities_exact(dataset, model)
-    new_model, events = _m_step_general_revived(points, resp, model)
-    return resp, new_model, events
+        resp = _e_step(dataset, model, "full", *_matrices(dataset, model), None, None, None)
+    return (resp, *_m_step_general_revived(_points_of(dataset), resp, model))
 
 
-def _score_argmin(dataset, model, lj=None):
-    """Binary posteriors on the singleton set at each point's minimal score."""
-    labels = np.argmin(sigma_pi_scores(dataset, model, lj), axis=1)
-    return binary_responsibilities(labels, model.c)
-
-
-def sigma_pi_step(dataset, model, resp=None):
+def sigma_pi_step(dataset, model):
     """Hard assignment by minimal score, then the general-model M-step.
 
     The score argmin is a full singleton-set E-step for the general model;
     equal weights with identical isotropic covariances reduce it to the
     nearest-center rule.
     """
-    points = _points_of(dataset)
-    if resp is None:
-        resp = _score_argmin(dataset, model)
-    new_model, events = _m_step_general_revived(points, resp, model)
-    return resp, new_model, events
+    resp = _e_step(dataset, model, "nearest", *_matrices(dataset, model), None, None, None)
+    return (resp, *_m_step_general_revived(_points_of(dataset), resp, model))
 
 
 # ---------------------------------------------------------------------------
@@ -375,52 +358,46 @@ def _rel_change(old, new):
     return float(np.max(np.abs(b - a))) / max(1.0, float(np.max(np.abs(a))))
 
 
-def _set_key(resp, exact):
+def _set_key(resp, rule):
     """What ``n_changed`` compares: each point's sorted set, or its hard
     shadow label for exact EM.  ``run`` carries the last one."""
-    return resp.hard_labels()[:, None] if exact else np.sort(resp.support, axis=1)
+    return resp.hard_labels()[:, None] if rule == "full" else np.sort(resp.support, axis=1)
 
 
-def _matrix(dataset, model):
-    """The one N x C matrix an iteration builds, for ``model``: squared
-    distances to the means for the isotropic family, log-joints for the
-    general one."""
-    if isinstance(model, IsotropicGMM):
-        return squared_distances(dataset, model.means)
-    return log_joints(dataset, model)
+def _matrices(dataset, model):
+    """``(d2, lj)`` at ``model``: the squared distances to the means (None
+    for the general family) and the log-joints, built from them."""
+    d2 = squared_distances(dataset, model.means) if isinstance(model, IsotropicGMM) else None
+    return d2, log_joints(dataset, model, d2)
 
 
-def _joints(dataset, model, dist):
-    """Log-joints from ``dist = _matrix(dataset, model)``, elementwise."""
-    return log_joints(dataset, model, dist) if isinstance(model, IsotropicGMM) else dist
+def _e_step(dataset, model, rule, d2, lj, c_prime, epsilon, last):
+    """The posteriors of selection ``rule`` at ``model``, read off
+    ``(d2, lj) = _matrices(dataset, model)``.
 
-
-def _e_step(dataset, model, config, dist, last):
-    """The configured selection rule's posteriors at ``model``, read off
-    ``dist = _matrix(dataset, model)``.  Lazy k-means keeps the support of
-    ``last``, the posteriors (or index matrix) it starts from.
-
-    Nearest-C' and lazy selection rank squared distances, not log-joints,
-    so ties break as the distances say.
+    ``full`` gives the exact posteriors.  ``lazy`` keeps the support of
+    ``last``, the posteriors (or index matrix) it starts from, unless a
+    center is closer by the epsilon factor.  ``nearest`` takes the C'
+    nearest centers by squared distance for the isotropic family, and the
+    lowest-scoring singleton (``sigma_pi_scores``) for the general one, so
+    ties break as those matrices say.
     """
-    if config.algorithm == "lazy_kmeans":
-        labels = lazy_reassign(dataset, model.means, config.epsilon, last, dist)
-        return binary_responsibilities(labels[:, 0], model.c)
-    if config.algorithm == "em_gmm":
-        return responsibilities_exact(dataset, model, dist)
-    if config.algorithm == "sigma_pi":
-        return _score_argmin(dataset, model, dist)
-    sets = select_nearest(dataset, model.means, config.c_prime or 1, dist)
-    return truncated_responsibilities(dataset, model, sets, _joints(dataset, model, dist))
+    if rule == "full":
+        return responsibilities_exact(dataset, model, lj)
+    if rule == "lazy":
+        sets = lazy_reassign(dataset, model.means, epsilon, last, d2)
+    else:
+        ranks = d2 if d2 is not None else sigma_pi_scores(dataset, model, lj)
+        sets = select_nearest(dataset, model.means, c_prime or 1, ranks)
+    return truncated_responsibilities(dataset, model, sets, lj)
 
 
-def _record(iteration, dataset, model, resp, dist, exact, n_changed, events):
+def _record(iteration, dataset, model, resp, lj, n_changed, events):
     points = _points_of(dataset)
     n, d = points.shape
-    lj = _joints(dataset, model, dist)
     j = objective_j(points, resp, model.means)
     ll = log_likelihood(dataset, model, lj)
-    f = ll if exact else free_energy_trunc(dataset, model, resp, lj)
+    f = free_energy_trunc(dataset, model, resp, lj)
     return TraceRecord(
         iteration=iteration,
         J=j,
@@ -434,7 +411,7 @@ def _record(iteration, dataset, model, resp, dist, exact, n_changed, events):
 
 
 def _initial_state(dataset, config, rng):
-    """Seeded model, its ``_matrix`` and the posteriors of its E-step."""
+    """Seeded model, its ``_matrices`` and the posteriors of its E-step."""
     points = dataset.points
     n, d = points.shape
     seed = seed_uniform if config.seeding == "uniform" else seed_dsquared
@@ -447,38 +424,30 @@ def _initial_state(dataset, config, rng):
     )
     if not np.isfinite(sigma2_0):
         raise NumericError(f"initial sigma2 {sigma2_0} is not finite (overflow)")
-    if config.algorithm in ("em_gmm", "sigma_pi"):
+    rule, family, _ = _PAIRS[config.algorithm]
+    if family == "iso":
+        model = IsotropicGMM(means0, sigma2_0)
+    else:
         covs0 = np.broadcast_to(sigma2_0 * np.eye(d), (config.c, d, d)).copy()
         model = GeneralGMM(np.full(config.c, 1.0 / config.c), means0, covs0)
-        dist = _matrix(dataset, model)
-    else:
-        model = IsotropicGMM(means0, sigma2_0)
-        dist = d2
-    return model, dist, _e_step(dataset, model, config, dist, nearest1)
-
-
-def _kernel(dataset, model, config, resp):
-    """The configured kernel, handed this iteration's posteriors ``resp``."""
-    if config.algorithm == "lazy_kmeans":
-        return lazy_step(dataset, model, config.epsilon, resp.support, resp)
-    if config.algorithm == "em_gmm":
-        return em_gmm_step(dataset, model, resp)
-    if config.algorithm == "sigma_pi":
-        return sigma_pi_step(dataset, model, resp)
-    return tvem_step(dataset, model, config.c_prime or 1, resp)
+        d2 = None
+    lj = log_joints(dataset, model, d2)
+    resp = _e_step(dataset, model, rule, d2, lj, config.c_prime, config.epsilon, nearest1)
+    return model, d2, lj, resp
 
 
 def run(dataset, config):
-    """Iterate the configured kernel until convergence or max_iters.
+    """Iterate the configured selection rule and M-step until convergence
+    or max_iters.
 
     Deterministic given (dataset, config).  The trace holds one record per
     iteration plus an initial record for the seeded state; numeric failures
     are annotated on the trace and re-raised.  Data whose squared distances
     overflow raise ``NumericError`` before the first record.
 
-    Each iteration builds one N x C matrix (``_matrix``): the record of
-    iteration t builds it for the new model, and the E-step of iteration
-    t + 1 reads the same matrix.  Iteration 1's E-step is the initial
+    Each iteration builds its matrices once (``_matrices``): the record of
+    iteration t builds them for the new model, and the E-step of iteration
+    t + 1 reads the same pair.  Iteration 1's E-step is the initial
     state's, which already ran on the seeded model.
     """
     if not isinstance(dataset, Dataset):
@@ -488,25 +457,29 @@ def run(dataset, config):
             f"c={config.c} exceeds the number of data points N={dataset.n}"
         )
     rng = make_rng(config.seed)
-    # Only exact EM records F = L and counts hard labels (C' = C is dense too).
-    exact = config.algorithm == "em_gmm"
-    model, dist, resp = _initial_state(dataset, config, rng)
-    key = _set_key(resp, exact)
-    trace = [_record(0, dataset, model, resp, dist, exact, dataset.n, [])]
+    rule, family, _ = _PAIRS[config.algorithm]
+    model, d2, lj, resp = _initial_state(dataset, config, rng)
+    key = _set_key(resp, rule)
+    trace = [_record(0, dataset, model, resp, lj, dataset.n, [])]
     reason = "max_iters"
     new_resp = resp
     for it in range(1, config.max_iters + 1):
         try:
             if it > 1:
-                new_resp = _e_step(dataset, model, config, dist, resp)
-            dist = None  # its last reader was the E-step; free it before the next
-            _, new_model, events = _kernel(dataset, model, config, new_resp)
-            new_key = _set_key(new_resp, exact)
+                new_resp = _e_step(
+                    dataset, model, rule, d2, lj, config.c_prime, config.epsilon, resp
+                )
+            d2 = lj = None  # their last reader was the E-step; free them
+            if family == "iso":
+                _, new_model, events = tvem_step(dataset, model, config.c_prime, new_resp)
+            else:
+                _, new_model, events = em_gmm_step(dataset, model, new_resp)
+            new_key = _set_key(new_resp, rule)
             n_changed = int(np.sum(np.any(key != new_key, axis=1)))
             rel = _rel_change(model, new_model)
             model, resp, key = new_model, new_resp, new_key
-            dist = _matrix(dataset, model)
-            trace.append(_record(it, dataset, model, resp, dist, exact, n_changed, events))
+            d2, lj = _matrices(dataset, model)
+            trace.append(_record(it, dataset, model, resp, lj, n_changed, events))
         except NumericError as exc:
             trace[-1].events.append(f"numeric failure at iteration {it}: {exc}")
             exc.trace = trace

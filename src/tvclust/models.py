@@ -12,7 +12,7 @@ small-variance regime does not underflow.  Squared distances take the GEMM
 form on mean-centred data and the general model whitens through inverse
 Cholesky factors, so no (N, C, D) temporary is built.  ``log_joints`` and
 ``responsibilities_exact`` take an already built matrix, which lets one
-iteration of the fitting loop build a single N x C matrix.
+iteration of the fitting loop build each of its N x C matrices once.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError
+from .errors import ConfigurationError, NumericError, ParseError
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -368,4 +368,11 @@ def save_model(model, path):
 
 
 def load_model(path):
-    return model_from_snapshot(json.loads(Path(path).read_text(encoding="utf-8")))
+    """The model in a snapshot file.  A file that is not a snapshot raises
+    ``ParseError``; a snapshot of an invalid model, ``ConfigurationError``."""
+    try:
+        return model_from_snapshot(json.loads(Path(path).read_text(encoding="utf-8")))
+    except ConfigurationError:
+        raise
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ParseError(f"{path}: not a model snapshot: {exc!r}") from None

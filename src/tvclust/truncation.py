@@ -69,7 +69,7 @@ def lazy_reassign(dataset, means, epsilon, sets, d2=None):
     with C' > 1 has no agreed semantics and is rejected.  ``d2`` is
     ``squared_distances(dataset, means)``, computed unless given.
     """
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ConfigurationError("epsilon must be nonnegative")
     n = _points_of(dataset).shape[0]
     sets = _index_sets(sets, len(means), n)

@@ -124,6 +124,14 @@ class TestFit:
         )
         assert code == EXIT_CONFIG
 
+    def test_nan_epsilon_is_config_error(self, tmp_path):
+        data = _generate(tmp_path)
+        code = main(
+            ["fit", "--data", str(data), "--algorithm", "lazy_kmeans", "--c", "4",
+             "--epsilon", "nan"]
+        )
+        assert code == EXIT_CONFIG
+
     def test_argparse_rejects_unknown_algorithm(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["fit", "--data", "x.csv", "--algorithm", "magic", "--c", "2"])
@@ -241,6 +249,29 @@ class TestAudit:
         report = json.loads(out_path.read_text())
         assert report["kind"] == "general"
         assert report["L"] >= report["F"] - 1e-10
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{not json",
+            '{"kind": "iso", "sigma2": 1.0}',
+            '{"kind": "iso", "means": [[0.0]], "sigma2": "x"}',
+        ],
+    )
+    def test_malformed_model_is_io_error(self, tmp_path, capsys, text):
+        data = _generate(tmp_path)
+        model_path = tmp_path / "model.json"
+        model_path.write_text(text)
+        code = main(["audit", "--data", str(data), "--model", str(model_path)])
+        assert code == EXIT_IO
+        assert "parse error" in capsys.readouterr().err
+
+    def test_invalid_model_is_config_error(self, tmp_path):
+        data = _generate(tmp_path)
+        model_path = tmp_path / "model.json"
+        model_path.write_text('{"kind": "iso", "means": [[0.0, 0.0]], "sigma2": -1.0}')
+        code = main(["audit", "--data", str(data), "--model", str(model_path)])
+        assert code == EXIT_CONFIG
 
 
 class TestNumericExit:

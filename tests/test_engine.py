@@ -50,6 +50,24 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError):
             RunConfig(algorithm="em_gmm", c=3, epsilon=0.1)
 
+    @pytest.mark.parametrize("param", ["c_prime", "epsilon"])
+    @pytest.mark.parametrize(
+        "algorithm", ["kmeans", "em_gmm", "kmeans_cprime", "lazy_kmeans", "sigma_pi"]
+    )
+    def test_parameter_table(self, algorithm, param):
+        valid = {"c_prime": 2, "epsilon": 0.1}
+        takes = {"kmeans_cprime": "c_prime", "lazy_kmeans": "epsilon"}.get(algorithm)
+        kwargs = {takes: valid[takes]} if takes else {}
+        if param == takes:
+            RunConfig(algorithm=algorithm, c=3, **kwargs)
+            del kwargs[param]
+            message = f"{algorithm} requires {param}"
+        else:
+            kwargs[param] = valid[param]
+            message = f"{algorithm} does not take {param}"
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            RunConfig(algorithm=algorithm, c=3, **kwargs)
+
     def test_bad_values(self):
         with pytest.raises(ConfigurationError):
             RunConfig(algorithm="nope", c=3)
@@ -61,6 +79,8 @@ class TestRunConfig:
             RunConfig(algorithm="kmeans", c=3, max_iters=-1)
         with pytest.raises(ConfigurationError):
             RunConfig(algorithm="kmeans_cprime", c=3, c_prime=4)
+        with pytest.raises(ConfigurationError, match="epsilon must be >= 0"):
+            RunConfig(algorithm="lazy_kmeans", c=3, epsilon=float("nan"))
 
 
 class TestSeeding:
@@ -521,9 +541,10 @@ def _count_calls(monkeypatch, module_name, name, counted=lambda *args: True):
 
 
 class TestOneMatrixPerIteration:
-    """``run`` builds one N x C matrix per iteration: squared distances for
-    the isotropic family, general log-joints for the general one, plus the
-    seeding's and the initial state's."""
+    """``run`` builds its matrices once per iteration: squared distances and
+    the log-joints built from them for the isotropic family, general
+    log-joints for the general one, plus the seeding's and the initial
+    state's."""
 
     @pytest.mark.parametrize("seeding", ["uniform", "dsquared"])
     @pytest.mark.parametrize("algorithm,extra", ALL_ALGORITHMS)
@@ -533,6 +554,9 @@ class TestOneMatrixPerIteration:
         dist = _count_calls(monkeypatch, "models", "squared_distances")
         general = _count_calls(
             monkeypatch, "models", "log_joints", lambda y, model, *rest: hasattr(model, "covs")
+        )
+        iso = _count_calls(
+            monkeypatch, "models", "log_joints", lambda y, model, *rest: not hasattr(model, "covs")
         )
         cfg = RunConfig(
             algorithm=algorithm, c=c, seeding=seeding, max_iters=6, tol=0.0, seed=1, **extra
@@ -544,9 +568,11 @@ class TestOneMatrixPerIteration:
             # iso distances only for seeding and the initial variance
             assert len(dist) == seeding_calls + 1
             assert len(general) == 1 + iterations
+            assert len(iso) == 0
         else:
             assert len(dist) == seeding_calls + 1 + iterations
             assert len(general) == 0
+            assert len(iso) == 1 + iterations
 
     @pytest.mark.parametrize("algorithm,extra", ALL_ALGORITHMS)
     def test_support_checked_at_most_once_per_iteration(self, monkeypatch, algorithm, extra):

@@ -96,6 +96,13 @@ class TestLazyReassign:
         with pytest.raises(ConfigurationError):
             lazy_reassign(points, np.array([[0.0], [1.0]]), -0.1, state)
 
+    def test_rejects_nan_epsilon(self):
+        # a NaN factor never switches, so it would freeze every set silently
+        points = np.array([[0.0], [10.0]])
+        means = np.array([[0.0], [10.0]])
+        with pytest.raises(ConfigurationError):
+            lazy_reassign(points, means, float("nan"), np.array([[1], [0]]))
+
 
 class TestSigmaPiScore:
     def test_variance_and_weight_aware_selection(self):
