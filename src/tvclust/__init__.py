@@ -41,7 +41,6 @@ from .models import (
     Responsibilities,
     binary_responsibilities,
     load_model,
-    log_density_iso,
     log_joints,
     logsumexp,
     model_from_snapshot,

@@ -152,6 +152,10 @@ def _cmd_experiment(args):
 def _cmd_audit(args):
     dataset = load_csv(args.data)
     model = load_model(args.model)
+    if model.d != dataset.d:
+        raise ConfigurationError(
+            f"model dimension {model.d} does not match data dimension {dataset.d}"
+        )
     points = dataset.points
     if isinstance(model, IsotropicGMM):
         labels = select_nearest(points, model.means, 1)[:, 0]

@@ -17,14 +17,15 @@ back into the mean path, whose updates are variance-independent for
 singleton sets.  All five kernels return ``(resp, model|means, events)``:
 the posteriors, whose ``resp.support`` is K^(n), the new model (means for
 ``kmeans_step``) and any reseed events.  Every kernel but ``kmeans_step``
-is ``_e_step`` of its rule followed by its family's M-step.
+is ``_e_step`` of its rule followed by its family's M-step; both M-steps
+return ``(model, events)`` and reseed their own empty clusters.
 
 Each iteration of ``run`` builds its matrices once (``_matrices``): the
 log-joints, plus the squared distances they come from for the isotropic
 family.  The trace record of iteration t builds them for the new model;
 the E-step of iteration t + 1 reads the same pair and hands its
-posteriors to the family's M-step kernel, ``tvem_step`` or
-``em_gmm_step``.  Iteration 1 uses the initial state's posteriors.
+posteriors to ``tvem_step``, which runs the M-step of the model's family.
+Iteration 1 uses the initial state's posteriors.
 
 A run converges once the truncation sets (or hard shadow labels for exact
 EM) stop changing and the largest relative parameter change drops below
@@ -174,6 +175,8 @@ def seed_dsquared(dataset, c, rng, initial=None):
 # ---------------------------------------------------------------------------
 # M-steps
 
+_BLOCK = 1024  # rows per block of the general M-step's weighted sums
+
 
 def _worst_fit(points, resp, means, empty):
     """Move the ``empty`` clusters' means onto the worst-fit data points.
@@ -227,58 +230,42 @@ def m_step_iso(dataset, resp):
     return IsotropicGMM(means, sigma2), events
 
 
-def m_step_general(dataset, resp):
+def m_step_general(dataset, resp, prev):
     """Weighted means, scatter covariances and mixing weights.
 
     Covariances are normalized by responsibility mass, symmetrized, and
-    ridge-regularized once.  Zero-mass clusters keep weight 0 and fall back
-    to the global mean and covariance; reviving them is the caller's policy.
+    ridge-regularized once.  A zero-weight cluster is revived at a worst-fit
+    point with its covariance from ``prev`` and weight 1/N (other weights
+    rescaled); unlike the isotropic reseed this can lower the recorded free
+    energy, so the event is always traced.  The weighted sums add fixed row
+    blocks in order, so they do not depend on the BLAS thread count.
     """
     points = _points_of(dataset)
     n, d = points.shape
-    c = resp.n_clusters
     w = resp.dense()
     mass = w.sum(axis=0)
-    nonempty = mass > 0.0
-    means = np.zeros((c, d))
-    wsum = w.T @ points
+    nonempty = np.flatnonzero(mass > 0.0)
+    wsum = w[:_BLOCK].T @ points[:_BLOCK]
+    for i in range(_BLOCK, n, _BLOCK):
+        wsum += w[i : i + _BLOCK].T @ points[i : i + _BLOCK]
+    means = np.zeros((resp.n_clusters, d))
     means[nonempty] = wsum[nonempty] / mass[nonempty, None]
-    gmean = points.mean(axis=0)
-    means[~nonempty] = gmean
-    covs = np.empty((c, d, d))
-    for k in range(c):
+    covs = np.zeros((resp.n_clusters, d, d))
+    for k in nonempty:
         diff = points - means[k]
-        covs[k] = np.einsum("nd,ne->de", w[:, k, None] * diff, diff)
-    covs[nonempty] /= mass[nonempty, None, None]
-    if np.any(~nonempty):
-        centered = points - gmean
-        covs[~nonempty] = (centered.T @ centered) / n
+        covs[k] = np.einsum("nd,ne->de", w[:, k, None] * diff, diff) / mass[k]
     covs = 0.5 * (covs + np.transpose(covs, (0, 2, 1)))
     covs = regularize_covariances(covs)
     weights = mass / n
     weights = weights / weights.sum()
-    return GeneralGMM(weights, means, covs)
-
-
-def _m_step_general_revived(points, resp, prev):
-    """``m_step_general``, then revive its zero-weight clusters.
-
-    A revived cluster is centered on a worst-fit point, keeps its covariance
-    from ``prev``, and receives weight 1/N (other weights rescaled).  Unlike
-    the isotropic case this rescaling can lower the recorded free energy,
-    so the event is always traced.
-    """
-    model = m_step_general(points, resp)
-    empty = np.flatnonzero(model.weights == 0.0)
-    if empty.size == 0:
-        return model, []
-    n = points.shape[0]
-    means, events = _worst_fit(points, resp, model.means, empty)
-    covs = model.covs.copy()
-    covs[empty] = prev.covs[empty]
-    weights = model.weights * (1.0 - empty.size / n)
-    weights[empty] = 1.0 / n
-    return GeneralGMM(weights / weights.sum(), means, covs), events
+    empty = np.flatnonzero(weights == 0.0)
+    means, events = _worst_fit(points, resp, means, empty)
+    if empty.size:
+        covs[empty] = prev.covs[empty]
+        weights = weights * (1.0 - empty.size / n)
+        weights[empty] = 1.0 / n
+        weights = weights / weights.sum()
+    return GeneralGMM(weights, means, covs), events
 
 
 # ---------------------------------------------------------------------------
@@ -299,17 +286,20 @@ def kmeans_step(dataset, means):
 
 
 def tvem_step(dataset, model, c_prime, resp=None):
-    """Full variational iteration: nearest-C' sets, sparse posteriors, M-step.
+    """Full variational iteration: nearest-C' sets, sparse posteriors, and
+    the M-step of the model's family.
 
-    The recorded free energy never decreases across this step.  With
-    c_prime = 1 the mean path coincides with ``kmeans_step``; with
-    c_prime = C it is one exact EM iteration for the isotropic model.
-    Given this iteration's posteriors as ``resp`` (``run`` passes them for
-    every isotropic algorithm), it runs only the M-step.
+    The recorded free energy never decreases across this step, but at a
+    general-model revival.  With c_prime = 1 the mean path coincides with
+    ``kmeans_step``; with c_prime = C it is one exact EM iteration for the
+    isotropic model.  Given this iteration's posteriors as ``resp`` (``run``
+    passes them for every algorithm), it runs only the M-step.
     """
     if resp is None:
         resp = _e_step(dataset, model, "nearest", *_matrices(dataset, model), c_prime, None, None)
-    return (resp, *m_step_iso(dataset, resp))
+    if isinstance(model, IsotropicGMM):
+        return (resp, *m_step_iso(dataset, resp))
+    return (resp, *m_step_general(dataset, resp, model))
 
 
 def lazy_step(dataset, model, epsilon, sets):
@@ -318,15 +308,10 @@ def lazy_step(dataset, model, epsilon, sets):
     return (resp, *m_step_iso(dataset, resp))
 
 
-def em_gmm_step(dataset, model, resp=None):
-    """One exact EM iteration for the general weighted mixture.
-
-    Given posteriors as ``resp`` (``run`` passes them for both general
-    algorithms), it runs only the general M-step.
-    """
-    if resp is None:
-        resp = _e_step(dataset, model, "full", *_matrices(dataset, model), None, None, None)
-    return (resp, *_m_step_general_revived(_points_of(dataset), resp, model))
+def em_gmm_step(dataset, model):
+    """One exact EM iteration for the general weighted mixture."""
+    resp = _e_step(dataset, model, "full", *_matrices(dataset, model), None, None, None)
+    return (resp, *m_step_general(dataset, resp, model))
 
 
 def sigma_pi_step(dataset, model):
@@ -336,8 +321,7 @@ def sigma_pi_step(dataset, model):
     equal weights with identical isotropic covariances reduce it to the
     nearest-center rule.
     """
-    resp = _e_step(dataset, model, "nearest", *_matrices(dataset, model), None, None, None)
-    return (resp, *_m_step_general_revived(_points_of(dataset), resp, model))
+    return tvem_step(dataset, model, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +441,7 @@ def run(dataset, config):
             f"c={config.c} exceeds the number of data points N={dataset.n}"
         )
     rng = make_rng(config.seed)
-    rule, family, _ = _PAIRS[config.algorithm]
+    rule = _PAIRS[config.algorithm][0]
     model, d2, lj, resp = _initial_state(dataset, config, rng)
     key = _set_key(resp, rule)
     trace = [_record(0, dataset, model, resp, lj, dataset.n, [])]
@@ -470,10 +454,7 @@ def run(dataset, config):
                     dataset, model, rule, d2, lj, config.c_prime, config.epsilon, resp
                 )
             d2 = lj = None  # their last reader was the E-step; free them
-            if family == "iso":
-                _, new_model, events = tvem_step(dataset, model, config.c_prime, new_resp)
-            else:
-                _, new_model, events = em_gmm_step(dataset, model, new_resp)
+            _, new_model, events = tvem_step(dataset, model, config.c_prime, new_resp)
             new_key = _set_key(new_resp, rule)
             n_changed = int(np.sum(np.any(key != new_key, axis=1)))
             rel = _rel_change(model, new_model)

@@ -237,14 +237,6 @@ class Responsibilities:
     def n(self):
         return self.support.shape[0]
 
-    @property
-    def kind(self):
-        if self.support.shape[1] == self.n_clusters:
-            return "dense"
-        if self.support.shape[1] == 1:
-            return "binary"
-        return "sparse"
-
     def dense(self):
         """Full (N, C) responsibility matrix with zeros off support."""
         out = np.zeros((self.n, self.n_clusters))
@@ -301,16 +293,6 @@ def log_joints(points, model, d2=None):
         logdet = d * _LOG_2PI + 2.0 * np.sum(np.log(np.diag(chol)))
         out[:, c] = logw[c] - 0.5 * (logdet + maha)
     return out
-
-
-def log_density_iso(y, c, model):
-    """log N(y; mu_c, sigma2 * I) = -(D/2) log(2 pi sigma2) - |y-mu_c|^2 / (2 sigma2)."""
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    diff = y - model.means[c]
-    return float(
-        -0.5 * model.d * math.log(2.0 * math.pi * model.sigma2)
-        - float(diff @ diff) / (2.0 * model.sigma2)
-    )
 
 
 def responsibilities_exact(dataset, model, lj=None):

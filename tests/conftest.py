@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -22,6 +24,16 @@ def random_instance(seed, n_max=50, c_max=6, d_max=3):
     points = rng.normal(size=(n, d))
     means = rng.normal(size=(c, d))
     return points, means
+
+
+def log_density_iso(y, c, model):
+    """Oracle for log N(y; mu_c, sigma2 * I): the sum of the D univariate
+    normal log densities, one coordinate at a time."""
+    var = model.sigma2
+    return sum(
+        -0.5 * math.log(2.0 * math.pi * var) - (yi - mi) ** 2 / (2.0 * var)
+        for yi, mi in zip(np.ravel(y).tolist(), model.means[c].tolist())
+    )
 
 
 def blob_dataset(seed, c_true=4, per_cluster_n=40, box=10.0, gen_sigma=1.0):

@@ -273,6 +273,30 @@ class TestAudit:
         code = main(["audit", "--data", str(data), "--model", str(model_path)])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "snapshot",
+        [
+            {"kind": "iso", "means": [[0.0, 0.0, 0.0]], "sigma2": 1.0},
+            {
+                "kind": "general",
+                "means": [[0.0, 0.0, 0.0]],
+                "weights": [1.0],
+                "covs": [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]],
+            },
+        ],
+        ids=["iso", "general"],
+    )
+    def test_dimension_mismatch_is_config_error(self, tmp_path, capsys, snapshot):
+        data = _generate(tmp_path)  # 2-D points
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(snapshot))
+        capsys.readouterr()
+        code = main(["audit", "--data", str(data), "--model", str(model_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("configuration error:") and "dimension" in err
+        assert "Traceback" not in err
+
 
 class TestNumericExit:
     def test_all_restart_failures_exit_code(self, tmp_path):

@@ -8,9 +8,11 @@ from tvclust import (
     Dataset,
     GeneralGMM,
     IsotropicGMM,
+    NumericError,
     RunConfig,
     binary_responsibilities,
     em_gmm_step,
+    free_energy_trunc,
     kmeans_step,
     lazy_step,
     m_step_general,
@@ -27,6 +29,7 @@ from tvclust import (
     tvem_step,
 )
 from tvclust.data import GeneratorSpec, generate
+from tvclust.models import COV_RIDGE
 
 from conftest import blob_dataset
 
@@ -158,16 +161,33 @@ class TestMStepIso:
 class TestMStepGeneral:
     def test_singleton_zero_scatter(self):
         ds = Dataset([[0.0], [5.0]])
-        model = m_step_general(ds, binary_responsibilities([0, 1], 2))
+        resp = binary_responsibilities([0, 1], 2)
+        prev = GeneralGMM(np.full(2, 0.5), np.zeros((2, 1)), np.ones((2, 1, 1)))
+        model, events = m_step_general(ds, resp, prev)
         assert np.allclose(model.weights, [0.5, 0.5])
         assert np.array_equal(model.covs, np.zeros((2, 1, 1)))
+        assert events == []
 
     def test_all_mass_on_one_cluster(self):
-        ds = Dataset([[0.0, 0.0], [2.0, 2.0]])
-        resp = binary_responsibilities([1, 1], 3)
-        model = m_step_general(ds, resp)
-        assert np.allclose(model.weights, [0.0, 1.0, 0.0])
+        ds = Dataset([[0.0, 0.0], [2.0, 2.0], [0.0, 2.0], [2.0, 0.0]])
+        resp = binary_responsibilities([1, 1, 1, 1], 3)
+        prev = GeneralGMM(
+            np.full(3, 1.0 / 3.0),
+            np.zeros((3, 2)),
+            np.array([2.0, 3.0, 5.0])[:, None, None] * np.eye(2),
+        )
+        model, events = m_step_general(ds, resp, prev)
         assert np.allclose(model.means[1], [1.0, 1.0])
+        # every point is sqrt(2) from the mean, so the stable worst-fit
+        # order is the point order: clusters 0 and 2 land on points 0 and 1
+        assert model.means[0].tolist() == [0.0, 0.0]
+        assert model.means[2].tolist() == [2.0, 2.0]
+        assert np.array_equal(model.covs[[0, 2]], prev.covs[[0, 2]])
+        assert model.weights.tolist() == [0.25, 0.5, 0.25]
+        assert events == [
+            "reseeded empty cluster 0 at point 0",
+            "reseeded empty cluster 2 at point 1",
+        ]
 
     def test_covariances_symmetric(self):
         rng = np.random.default_rng(2)
@@ -178,7 +198,7 @@ class TestMStepGeneral:
             np.broadcast_to(np.eye(3), (2, 3, 3)).copy(),
         )
         resp = responsibilities_exact(points, model0)
-        model = m_step_general(points, resp)
+        model, _ = m_step_general(points, resp, model0)
         for cov in model.covs:
             assert np.max(np.abs(cov - cov.T)) <= 1e-12
 
@@ -196,7 +216,19 @@ class TestGeneralRevival:
         np.array([[[1.0]], [[1e-2]], [[3e-2]]]),
     )
 
-    @pytest.mark.parametrize("step", [em_gmm_step, sigma_pi_step])
+    @pytest.mark.parametrize(
+        "step",
+        [
+            em_gmm_step,
+            sigma_pi_step,
+            pytest.param(
+                lambda points, prev: m_step_general(
+                    points, binary_responsibilities([0, 0, 0, 0], 3), prev
+                ),
+                id="m_step_general",
+            ),
+        ],
+    )
     def test_revived_at_worst_fit_points_with_previous_covariance(self, step):
         model, events = step(self.points, self.prev)[-2:]
         # distances to the new mean 2.25: 2.25, 1.25, 0.25, 3.75, so the
@@ -294,6 +326,50 @@ class TestTvemStep:
         for (la, ma), (lb, mb) in zip(reference, perturbed):
             assert np.array_equal(la, lb)
             assert np.array_equal(ma, mb)
+
+    def test_general_model_keeps_its_family(self):
+        ds = blob_dataset(3, c_true=3, per_cluster_n=20)
+        model = GeneralGMM(
+            np.full(3, 1.0 / 3.0),
+            ds.points[:3],
+            np.broadcast_to(np.eye(2), (3, 2, 2)).copy(),
+        )
+        for c_prime in (1, 2, 3):
+            resp, new_model, _ = tvem_step(ds, model, c_prime)
+            assert isinstance(new_model, GeneralGMM)
+            assert resp.support.shape == (ds.n, c_prime)
+
+    @pytest.mark.parametrize("c_prime", [1, 2, 3])
+    def test_general_free_energy_monotone(self, c_prime):
+        """F never decreases over ``tvem_step`` on a general model, except
+        at a step that revives a cluster or leaves one whose scatter is
+        singular (smallest covariance eigenvalue under ten ridges).  Such a
+        covariance rests on the ridge alone, which moves it off the
+        M-step's optimum by more than a rounding error; a run whose scatter
+        reaches exactly zero stops with ``NumericError``."""
+        checked = 0
+        for seed in range(25):
+            ds = blob_dataset(seed, c_true=5, per_cluster_n=20)
+            idx = np.random.default_rng(seed).choice(ds.n, 5, replace=False)
+            model = GeneralGMM(
+                np.full(5, 0.2),
+                ds.points[idx],
+                np.broadcast_to(np.eye(2), (5, 2, 2)).copy(),
+            )
+            prev = None
+            for _ in range(30):
+                try:
+                    resp, model, events = tvem_step(ds, model, c_prime)
+                    f = free_energy_trunc(ds, model, resp)
+                except NumericError:
+                    break
+                ridge = COV_RIDGE * np.trace(model.covs, axis1=1, axis2=2) / 2
+                singular = np.any(np.linalg.eigvalsh(model.covs)[:, 0] < 10 * ridge)
+                if prev is not None and not events and not singular:
+                    assert f >= prev - 1e-9 * max(1.0, abs(prev)), (seed, prev, f)
+                    checked += 1
+                prev = f
+        assert checked > 600  # of the 25 * 29 step pairs
 
 
 class TestLazyStep:

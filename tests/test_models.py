@@ -11,7 +11,6 @@ from tvclust import (
     NumericError,
     Responsibilities,
     binary_responsibilities,
-    log_density_iso,
     log_joints,
     logsumexp,
     model_from_snapshot,
@@ -19,6 +18,8 @@ from tvclust import (
     responsibilities_exact,
     squared_distances,
 )
+
+from conftest import log_density_iso
 
 finite_floats = st.floats(
     allow_nan=False, allow_infinity=False, min_value=-50, max_value=50
@@ -127,7 +128,7 @@ class TestExactResponsibilities:
         model = IsotropicGMM(np.array([[1.0, 2.0]]), 0.3)
         resp = responsibilities_exact(np.random.default_rng(1).normal(size=(7, 2)), model)
         assert np.all(resp.weights == 1.0)
-        assert resp.kind == "dense"
+        assert resp.support.shape == (7, 1)
 
     def test_two_component_softmax(self):
         model = IsotropicGMM(np.array([[0.0], [1.0]]), 0.5)
@@ -177,7 +178,7 @@ class TestExactResponsibilities:
 class TestResponsibilitiesContainer:
     def test_binary_helper(self):
         resp = binary_responsibilities([2, 0, 1], 3)
-        assert resp.kind == "binary"
+        assert resp.support.shape == (3, 1)
         assert np.array_equal(resp.hard_labels(), [2, 0, 1])
         dense = resp.dense()
         assert dense.shape == (3, 3)
@@ -310,4 +311,5 @@ class TestZeroWeightComponents:
         resp = Responsibilities(
             np.array([[0, 2]]), np.array([[0.25, 0.75]]), 4
         )
-        assert resp.kind == "sparse"
+        assert resp.support.shape == (1, 2)
+        assert resp.dense().tolist() == [[0.25, 0.0, 0.75, 0.0]]
