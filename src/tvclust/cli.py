@@ -17,7 +17,14 @@ from .diagnostics import appendix_forms, free_energy_trunc, log_likelihood, obje
 from .engine import ALGORITHMS, SEEDINGS, RunConfig, run
 from .errors import ConfigurationError, NumericError, ParseError
 from .harness import ExperimentSpec, emit, run_experiment
-from .models import IsotropicGMM, load_model, model_to_snapshot, save_model
+from .models import (
+    IsotropicGMM,
+    load_model,
+    log_joints,
+    model_to_snapshot,
+    save_model,
+    squared_distances,
+)
 from .truncation import select_nearest, sigma_pi_scores
 
 EXIT_OK = 0
@@ -158,7 +165,8 @@ def _cmd_audit(args):
         )
     points = dataset.points
     if isinstance(model, IsotropicGMM):
-        labels = select_nearest(points, model.means, 1)[:, 0]
+        d2 = squared_distances(points, model.means)
+        labels = select_nearest(d2, 1)[:, 0]
         f_j, l_j, gap_j = appendix_forms(points, labels, model.means, model.c)
         report = {
             "kind": "iso",
@@ -166,12 +174,13 @@ def _cmd_audit(args):
             "F": f_j,
             "L": l_j,
             "gap": gap_j,
-            "L_at_model_sigma2": log_likelihood(points, model),
+            "L_at_model_sigma2": log_likelihood(log_joints(points, model, d2)),
         }
     else:
-        labels = np.argmin(sigma_pi_scores(points, model), axis=1)
-        f = free_energy_trunc(points, model, labels[:, None])
-        ll = log_likelihood(points, model)
+        lj = log_joints(points, model)
+        labels = np.argmin(sigma_pi_scores(lj), axis=1)
+        f = free_energy_trunc(lj, labels[:, None])
+        ll = log_likelihood(lj)
         report = {
             "kind": "general",
             "J": objective_j(points, labels, model.means),

@@ -99,6 +99,8 @@ class GeneratorSpec:
             raise ConfigurationError("per_cluster_n must be >= 1")
         if not self.gen_sigma > 0.0:
             raise ConfigurationError("gen_sigma must be positive")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.kind == "grid":
             side = math.isqrt(self.c_true)
             if side * side != self.c_true:
@@ -111,6 +113,10 @@ class GeneratorSpec:
             if self.domain_box is None:
                 raise ConfigurationError("uniform kind requires domain_box")
             for lo, hi in self.domain_box:
+                if not all(map(math.isfinite, (lo, hi, hi - lo))):
+                    raise ConfigurationError(
+                        f"domain_box axis ({lo}, {hi}) must be finite with a finite width"
+                    )
                 if not lo < hi:
                     raise ConfigurationError(f"empty domain_box axis ({lo}, {hi})")
         if self.kind == "explicit-gmm":

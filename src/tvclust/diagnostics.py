@@ -13,6 +13,10 @@ Under that convention
     L = F + gap,   gap = D/2 + (1/N) sum_n log sum_c exp(-d_nc^2 / (2 sigma2))
 
 with gap >= 0, shrinking to zero as the assigned cluster dominates.
+
+The bounds of any model, ``free_energy_trunc`` and ``log_likelihood``, are
+functions of the (N, C) log-joints ``models.log_joints(dataset, model)``
+alone, so one matrix serves both.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from .models import (
     _index_sets,
     _points_of,
     binary_responsibilities,
-    log_joints,
     logsumexp,
     sigma2_floor,
     squared_distances,
@@ -99,16 +102,14 @@ def objective_j(dataset, assignments, means):
     return float(np.sum(resp.weights * sq))
 
 
-def free_energy_trunc(dataset, model, sets, lj=None):
+def free_energy_trunc(lj, sets):
     """(1/N) sum_n log sum_{c in K^(n)} p(c, y^(n)), K^(n) = row n of ``sets``.
 
-    ``sets`` may be the posteriors themselves, whose support is K^(n);
-    ``lj`` is ``log_joints(dataset, model)``, computed unless given.
+    ``lj`` holds the (N, C) log-joints log p(c, y^(n)); ``sets`` may be the
+    posteriors themselves, whose support is K^(n).
     """
-    sets = _index_sets(sets, model.c, _points_of(dataset).shape[0])
-    if lj is None:
-        lj = log_joints(dataset, model)
-    sub = np.take_along_axis(lj, sets, axis=1)
+    n, c = lj.shape
+    sub = np.take_along_axis(lj, _index_sets(sets, c, n), axis=1)
     return float(np.mean(logsumexp(sub, axis=1)))
 
 
@@ -122,13 +123,9 @@ def free_energy_kmeans(c, d, sigma2):
     return -math.log(c) - 0.5 * d * (_LOG_2PI_E + math.log(sigma2))
 
 
-def log_likelihood(dataset, model, lj=None):
-    """Per-point log-likelihood (1/N) sum_n log sum_c p(c, y^(n)).
-
-    ``lj`` is ``log_joints(dataset, model)``, computed unless given.
-    """
-    if lj is None:
-        lj = log_joints(dataset, model)
+def log_likelihood(lj):
+    """Per-point log-likelihood (1/N) sum_n log sum_c p(c, y^(n)), read off
+    the (N, C) log-joints ``lj``."""
     return float(np.mean(logsumexp(lj, axis=1)))
 
 

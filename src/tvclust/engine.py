@@ -23,7 +23,7 @@ return ``(model, events)`` and reseed their own empty clusters.
 Each iteration of ``run`` builds its matrices once (``_matrices``): the
 log-joints, plus the squared distances they come from for the isotropic
 family.  The trace record of iteration t builds them for the new model;
-the E-step of iteration t + 1 reads the same pair and hands its
+the E-step of iteration t + 1 reads only that pair and hands its
 posteriors to ``tvem_step``, which runs the M-step of the model's family.
 Iteration 1 uses the initial state's posteriors.
 
@@ -106,8 +106,9 @@ class RunConfig:
             raise ConfigurationError("epsilon must be >= 0")
         if self.seeding not in SEEDINGS:
             raise ConfigurationError(f"unknown seeding {self.seeding!r}")
-        if self.max_iters < 0:
-            raise ConfigurationError("max_iters must be >= 0")
+        for name in ("max_iters", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(f"{name} must be >= 0")
         if not self.tol >= 0:
             raise ConfigurationError("tol must be >= 0")
 
@@ -280,7 +281,7 @@ def kmeans_step(dataset, means):
     """
     points = _points_of(dataset)
     means = _points_of(means)
-    labels = select_nearest(points, means, 1)[:, 0]
+    labels = select_nearest(squared_distances(points, means), 1)[:, 0]
     resp = binary_responsibilities(labels, means.shape[0])
     return (resp, *_weighted_means(points, resp))
 
@@ -296,7 +297,7 @@ def tvem_step(dataset, model, c_prime, resp=None):
     passes them for every algorithm), it runs only the M-step.
     """
     if resp is None:
-        resp = _e_step(dataset, model, "nearest", *_matrices(dataset, model), c_prime, None, None)
+        resp = _e_step("nearest", *_matrices(dataset, model), c_prime, None, None)
     if isinstance(model, IsotropicGMM):
         return (resp, *m_step_iso(dataset, resp))
     return (resp, *m_step_general(dataset, resp, model))
@@ -304,13 +305,13 @@ def tvem_step(dataset, model, c_prime, resp=None):
 
 def lazy_step(dataset, model, epsilon, sets):
     """Lazy reassignment of ``sets`` (the last support), then k-means updates."""
-    resp = _e_step(dataset, model, "lazy", *_matrices(dataset, model), None, epsilon, sets)
+    resp = _e_step("lazy", *_matrices(dataset, model), None, epsilon, sets)
     return (resp, *m_step_iso(dataset, resp))
 
 
 def em_gmm_step(dataset, model):
     """One exact EM iteration for the general weighted mixture."""
-    resp = _e_step(dataset, model, "full", *_matrices(dataset, model), None, None, None)
+    resp = _e_step("full", *_matrices(dataset, model), None, None, None)
     return (resp, *m_step_general(dataset, resp, model))
 
 
@@ -355,9 +356,9 @@ def _matrices(dataset, model):
     return d2, log_joints(dataset, model, d2)
 
 
-def _e_step(dataset, model, rule, d2, lj, c_prime, epsilon, last):
-    """The posteriors of selection ``rule`` at ``model``, read off
-    ``(d2, lj) = _matrices(dataset, model)``.
+def _e_step(rule, d2, lj, c_prime, epsilon, last):
+    """The posteriors of selection ``rule`` at the model whose
+    ``_matrices`` are ``(d2, lj)``, read off those matrices alone.
 
     ``full`` gives the exact posteriors.  ``lazy`` keeps the support of
     ``last``, the posteriors (or index matrix) it starts from, unless a
@@ -367,21 +368,20 @@ def _e_step(dataset, model, rule, d2, lj, c_prime, epsilon, last):
     ties break as those matrices say.
     """
     if rule == "full":
-        return responsibilities_exact(dataset, model, lj)
+        return responsibilities_exact(lj)
     if rule == "lazy":
-        sets = lazy_reassign(dataset, model.means, epsilon, last, d2)
+        sets = lazy_reassign(d2, epsilon, last)
     else:
-        ranks = d2 if d2 is not None else sigma_pi_scores(dataset, model, lj)
-        sets = select_nearest(dataset, model.means, c_prime or 1, ranks)
-    return truncated_responsibilities(dataset, model, sets, lj)
+        sets = select_nearest(d2 if d2 is not None else sigma_pi_scores(lj), c_prime or 1)
+    return truncated_responsibilities(lj, sets)
 
 
-def _record(iteration, dataset, model, resp, lj, n_changed, events):
+def _record(iteration, dataset, model, rule, resp, lj, n_changed, events):
     points = _points_of(dataset)
     n, d = points.shape
     j = objective_j(points, resp, model.means)
-    ll = log_likelihood(dataset, model, lj)
-    f = free_energy_trunc(dataset, model, resp, lj)
+    ll = log_likelihood(lj)
+    f = ll if rule == "full" else free_energy_trunc(lj, resp)  # support is arange(C): F is L
     return TraceRecord(
         iteration=iteration,
         J=j,
@@ -401,7 +401,7 @@ def _initial_state(dataset, config, rng):
     seed = seed_uniform if config.seeding == "uniform" else seed_dsquared
     means0 = seed(dataset, config.c, rng)
     d2 = squared_distances(dataset, means0)
-    nearest1 = select_nearest(dataset, means0, 1, d2)
+    nearest1 = select_nearest(d2, 1)
     sigma2_0 = max(
         objective_j(points, nearest1[:, 0], means0) / (d * n),
         sigma2_floor(dataset),
@@ -416,7 +416,7 @@ def _initial_state(dataset, config, rng):
         model = GeneralGMM(np.full(config.c, 1.0 / config.c), means0, covs0)
         d2 = None
     lj = log_joints(dataset, model, d2)
-    resp = _e_step(dataset, model, rule, d2, lj, config.c_prime, config.epsilon, nearest1)
+    resp = _e_step(rule, d2, lj, config.c_prime, config.epsilon, nearest1)
     return model, d2, lj, resp
 
 
@@ -444,15 +444,13 @@ def run(dataset, config):
     rule = _PAIRS[config.algorithm][0]
     model, d2, lj, resp = _initial_state(dataset, config, rng)
     key = _set_key(resp, rule)
-    trace = [_record(0, dataset, model, resp, lj, dataset.n, [])]
+    trace = [_record(0, dataset, model, rule, resp, lj, dataset.n, [])]
     reason = "max_iters"
     new_resp = resp
     for it in range(1, config.max_iters + 1):
         try:
             if it > 1:
-                new_resp = _e_step(
-                    dataset, model, rule, d2, lj, config.c_prime, config.epsilon, resp
-                )
+                new_resp = _e_step(rule, d2, lj, config.c_prime, config.epsilon, resp)
             d2 = lj = None  # their last reader was the E-step; free them
             _, new_model, events = tvem_step(dataset, model, config.c_prime, new_resp)
             new_key = _set_key(new_resp, rule)
@@ -460,7 +458,7 @@ def run(dataset, config):
             rel = _rel_change(model, new_model)
             model, resp, key = new_model, new_resp, new_key
             d2, lj = _matrices(dataset, model)
-            trace.append(_record(it, dataset, model, resp, lj, n_changed, events))
+            trace.append(_record(it, dataset, model, rule, resp, lj, n_changed, events))
         except NumericError as exc:
             trace[-1].events.append(f"numeric failure at iteration {it}: {exc}")
             exc.trace = trace

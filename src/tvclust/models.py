@@ -10,8 +10,9 @@ Two model families are supported:
 All mixture sums are evaluated in log space with max shifting so that the
 small-variance regime does not underflow.  Squared distances take the GEMM
 form on mean-centred data and the general model whitens through inverse
-Cholesky factors, so no (N, C, D) temporary is built.  ``log_joints`` and
-``responsibilities_exact`` take an already built matrix, which lets one
+Cholesky factors, so no (N, C, D) temporary is built.  ``log_joints`` may
+be given the squared distances it is built from, and
+``responsibilities_exact`` reads the log-joints alone, which lets one
 iteration of the fitting loop build each of its N x C matrices once.
 """
 
@@ -295,17 +296,13 @@ def log_joints(points, model, d2=None):
     return out
 
 
-def responsibilities_exact(dataset, model, lj=None):
-    """Dense posterior p(c | y^(n)) for every point, via log-sum-exp.
-
-    ``lj`` is ``log_joints(dataset, model)``, computed unless given.
-    """
-    if lj is None:
-        lj = log_joints(dataset, model)
+def responsibilities_exact(lj):
+    """Dense posterior p(c | y^(n)) for every point, via log-sum-exp over
+    the (N, C) log-joints ``lj``."""
     weights = np.exp(lj - logsumexp(lj, axis=1)[:, None])
     weights = weights / weights.sum(axis=1, keepdims=True)
-    support = _as_readonly(np.broadcast_to(np.arange(model.c), weights.shape), np.int64)
-    return Responsibilities._on_checked(support, weights, model.c)
+    support = _as_readonly(np.broadcast_to(np.arange(lj.shape[1]), lj.shape), np.int64)
+    return Responsibilities._on_checked(support, weights, lj.shape[1])
 
 
 def regularize_covariances(covs):

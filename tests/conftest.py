@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -47,6 +48,22 @@ def blob_dataset(seed, c_true=4, per_cluster_n=40, box=10.0, gen_sigma=1.0):
         seed=seed,
     )
     return generate(spec)
+
+
+def count_calls(monkeypatch, module_name, name, counted=lambda *args: True):
+    """Wrap ``name`` in every tvclust module holding it; return the count list."""
+    original = getattr(sys.modules[f"tvclust.{module_name}"], name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        if counted(*args):
+            calls.append(1)
+        return original(*args, **kwargs)
+
+    for modname, module in list(sys.modules.items()):
+        if modname.startswith("tvclust") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 @pytest.fixture

@@ -32,6 +32,7 @@ from tvclust import (
     run,
     seed_dsquared,
     select_nearest,
+    squared_distances,
     tvem_step,
 )
 from tvclust.engine import sigma_pi_step
@@ -147,7 +148,7 @@ def test_criterion_3_bound_and_gap_identity(monotone_results):
         for _ in range(8):
             resp, means, _ = kmeans_step(ds, means)
             model, _ = m_step_iso(ds, resp)
-            lhs = log_likelihood(ds, model) - free_energy_kmeans(4, 2, model.sigma2)
+            lhs = log_likelihood(log_joints(ds, model)) - free_energy_kmeans(4, 2, model.sigma2)
             assert lhs >= -1e-10
             assert abs(lhs - kl_gap(ds, model, resp)) <= 1e-10
             checked += 1
@@ -159,11 +160,11 @@ def test_criterion_3_bound_and_gap_identity(monotone_results):
         ds = _blobs(100 + i)
         means = ds.points[rng.choice(ds.n, 4, replace=False)]
         model = IsotropicGMM(means, 1.0)
-        state = select_nearest(ds.points, means, 1)
+        state = select_nearest(squared_distances(ds.points, means), 1)
         for _ in range(6):
             resp, model, _ = lazy_step(ds, model, 0.3, state)
             state = resp.support
-            lhs = log_likelihood(ds, model) - free_energy_kmeans(4, 2, model.sigma2)
+            lhs = log_likelihood(log_joints(ds, model)) - free_energy_kmeans(4, 2, model.sigma2)
             assert lhs >= -1e-10
             assert abs(lhs - kl_gap(ds, model, resp)) <= 1e-10
             checked += 1
@@ -180,11 +181,10 @@ def test_criterion_4_reductions():
         means = ds.points[rng.choice(ds.n, 4, replace=False)]
         model = IsotropicGMM(means, float(rng.uniform(0.1, 2.0)))
         resp, new_model, _ = tvem_step(ds, model, 4)
-        exact = responsibilities_exact(ds.points, model)
+        exact = responsibilities_exact(log_joints(ds.points, model))
         assert np.max(np.abs(resp.dense() - exact.dense())) <= 1e-12
-        assert abs(
-            free_energy_trunc(ds, model, resp.support) - log_likelihood(ds, model)
-        ) <= 1e-12
+        lj = log_joints(ds, model)
+        assert abs(free_energy_trunc(lj, resp.support) - log_likelihood(lj)) <= 1e-12
     # lazy with eps=0 reproduces kmeans exactly, over whole runs
     for i in range(5):
         ds = _blobs(600 + i)
@@ -233,7 +233,7 @@ def test_criterion_5_entropy_form():
             value = free_energy_entropy_form(
                 ds, res.responsibilities, res.model.means, res.model.sigma2
             )
-            direct = free_energy_trunc(ds, res.model, res.responsibilities.support)
+            direct = free_energy_trunc(log_joints(ds, res.model), res.responsibilities.support)
             assert abs(value - direct) <= 1e-9
             if cp == 1:
                 # entropy term must be exactly zero for binary posteriors
@@ -259,7 +259,7 @@ def test_criterion_6_distortion_identities():
             assert abs(j - ds.d * ds.n * model.sigma2) <= 1e-12
             f_j, l_j, gap_j = appendix_forms(ds, resp, model.means, 4)
             f_direct = free_energy_kmeans(4, 2, model.sigma2)
-            l_direct = log_likelihood(ds, model)
+            l_direct = log_likelihood(log_joints(ds, model))
             gap_direct = kl_gap(ds, model, resp)
             assert abs(f_j - f_direct) <= 1e-12
             assert abs(l_j - l_direct) <= 1e-12
@@ -297,7 +297,8 @@ def test_criterion_7_nearest_selection_optimal_by_brute_force():
                         ) / n
                         best = max(best, val)
                     chosen = free_energy_trunc(
-                        points, model, select_nearest(points, means, cp)
+                        log_joints(points, model),
+                        select_nearest(squared_distances(points, means), cp),
                     )
                     assert chosen >= best - 1e-12
                     assert abs(chosen - best) <= 1e-12

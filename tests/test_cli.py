@@ -4,6 +4,8 @@ import pytest
 
 from tvclust.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 
+from conftest import count_calls
+
 
 def _generate(tmp_path, kind="grid", extra=()):
     out = tmp_path / "data.csv"
@@ -250,6 +252,18 @@ class TestAudit:
         assert report["kind"] == "general"
         assert report["L"] >= report["F"] - 1e-10
 
+    def test_audit_general_model_builds_log_joints_once(self, tmp_path, capsys, monkeypatch):
+        data = _generate(tmp_path)
+        model_path = tmp_path / "model.json"
+        fit = ["fit", "--data", str(data), "--algorithm", "em_gmm", "--c", "4", "--seed", "1",
+               "--max-iters", "5", "--model-out", str(model_path)]
+        assert main(fit) == EXIT_OK
+        calls = count_calls(
+            monkeypatch, "models", "log_joints", lambda y, model, *rest: hasattr(model, "covs")
+        )
+        assert main(["audit", "--data", str(data), "--model", str(model_path)]) == EXIT_OK
+        assert len(calls) == 1
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -295,6 +309,46 @@ class TestAudit:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert err.startswith("configuration error:") and "dimension" in err
+        assert "Traceback" not in err
+
+
+class TestRejectedInputs:
+    """Values numpy's generators reject deep inside a command exit 2 up front."""
+
+    GRID = ["--gen-kind", "grid", "--gen-c-true", "4"]
+    KMEANS = ["--algorithm", "kmeans", "--c", "4"]
+
+    @pytest.mark.parametrize(
+        "case,words",
+        [
+            ("fit_seed", "seed must be >= 0"),
+            ("experiment_seed", "seed must be >= 0"),
+            ("generate_gen_seed", "seed must be >= 0"),
+            ("experiment_gen_seed", "seed must be >= 0"),
+            ("experiment_infinite_box", "finite"),
+            ("generate_overflowing_box", "finite"),
+        ],
+    )
+    def test_config_error_without_traceback(self, tmp_path, capsys, case, words):
+        data = str(_generate(tmp_path))
+        out = str(tmp_path / "out")
+        args = {
+            "fit_seed": ["fit", "--data", data, *self.KMEANS, "--seed", "-1"],
+            "experiment_seed": ["experiment", "--data", data, *self.KMEANS, "--seed", "-1",
+                                "--out", out],
+            "generate_gen_seed": ["generate", *self.GRID, "--gen-seed", "-1", "--out", out],
+            "experiment_gen_seed": ["experiment", *self.GRID, "--gen-seed", "-1", *self.KMEANS,
+                                    "--out", out],
+            "experiment_infinite_box": ["experiment", "--gen-kind", "uniform", "--gen-box",
+                                        "0:inf", *self.KMEANS, "--out", out],
+            "generate_overflowing_box": ["generate", "--gen-kind", "uniform",
+                                         "--gen-box=-1e308:1e308", "--out", out],
+        }[case]
+        capsys.readouterr()
+        code = main(args)
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("configuration error:") and words in err
         assert "Traceback" not in err
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -221,6 +223,20 @@ def test_uniform_empty_box_axis_rejected():
             per_cluster_n=5,
             domain_box=((0.0, 10.0), (3.0, 3.0)),
         )
+
+
+@pytest.mark.parametrize(
+    "axis", [(0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan), (-1e308, 1e308)]
+)
+def test_uniform_box_must_be_finite_with_finite_width(axis):
+    # numpy's uniform draw overflows on an infinite box or width
+    with pytest.raises(ConfigurationError):
+        GeneratorSpec(kind="uniform", c_true=2, per_cluster_n=5, domain_box=((0.0, 1.0), axis))
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+        GeneratorSpec(kind="grid", c_true=4, per_cluster_n=5, seed=-1)
 
 
 def test_grid_spacing_must_be_positive():

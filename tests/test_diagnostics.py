@@ -15,11 +15,13 @@ from tvclust import (
     free_energy_trunc,
     kl_gap,
     kmeans_step,
+    log_joints,
     log_likelihood,
     m_step_iso,
     objective_j,
     run,
     select_nearest,
+    squared_distances,
 )
 
 from conftest import blob_dataset
@@ -71,24 +73,25 @@ class TestFreeEnergyTrunc:
         rng = np.random.default_rng(1)
         ds = Dataset(rng.normal(size=(20, 2)))
         model = IsotropicGMM(rng.normal(size=(3, 2)), 0.7)
-        state = select_nearest(ds.points, model.means, 3)
-        assert free_energy_trunc(ds, model, state) == pytest.approx(
-            log_likelihood(ds, model), abs=1e-12
+        state = select_nearest(squared_distances(ds.points, model.means), 3)
+        lj = log_joints(ds, model)
+        assert free_energy_trunc(lj, state) == pytest.approx(
+            log_likelihood(lj), abs=1e-12
         )
 
     def test_single_cluster_closed_form(self):
         rng = np.random.default_rng(2)
         ds = Dataset(rng.normal(size=(15, 2)))
         model = IsotropicGMM(np.zeros((1, 2)), 0.9)
-        state = select_nearest(ds.points, model.means, 1)
+        state = select_nearest(squared_distances(ds.points, model.means), 1)
         expected = -0.5 * 2 * math.log(2 * math.pi * 0.9) - float(
             np.sum(ds.points**2)
         ) / (2 * 0.9 * ds.n)
-        assert free_energy_trunc(ds, model, state) == pytest.approx(expected, rel=1e-12)
+        assert free_energy_trunc(log_joints(ds, model), state) == pytest.approx(expected, rel=1e-12)
 
     def test_four_point_value(self):
         ds, _, model, state = four_point_post_iteration()
-        assert free_energy_trunc(ds, model, state) == pytest.approx(F_FOUR, abs=1e-12)
+        assert free_energy_trunc(log_joints(ds, model), state) == pytest.approx(F_FOUR, abs=1e-12)
 
 
 class TestFreeEnergyKmeans:
@@ -115,7 +118,7 @@ class TestFreeEnergyKmeans:
             model, _ = m_step_iso(ds, resp)
             state = resp.support
             closed = free_energy_kmeans(3, 2, model.sigma2)
-            assert free_energy_trunc(ds, model, state) == pytest.approx(
+            assert free_energy_trunc(log_joints(ds, model), state) == pytest.approx(
                 closed, abs=1e-12
             )
 
@@ -124,20 +127,21 @@ class TestLogLikelihood:
     def test_unit_peak(self):
         ds = Dataset([[0.0]])
         model = IsotropicGMM(np.array([[0.0]]), 1.0 / (2.0 * math.pi))
-        assert log_likelihood(ds, model) == pytest.approx(0.0, abs=1e-15)
+        assert log_likelihood(log_joints(ds, model)) == pytest.approx(0.0, abs=1e-15)
 
     def test_four_point_value(self):
         ds, _, model, _ = four_point_post_iteration()
-        assert log_likelihood(ds, model) == pytest.approx(L_FOUR, abs=1e-12)
+        assert log_likelihood(log_joints(ds, model)) == pytest.approx(L_FOUR, abs=1e-12)
 
     def test_dominates_free_energy_for_any_truncation(self):
         rng = np.random.default_rng(5)
         ds = Dataset(rng.normal(size=(25, 2)))
         model = IsotropicGMM(rng.normal(size=(4, 2)), 0.6)
-        ll = log_likelihood(ds, model)
+        lj = log_joints(ds, model)
+        ll = log_likelihood(lj)
         for cp in (1, 2, 3, 4):
-            state = select_nearest(ds.points, model.means, cp)
-            assert ll >= free_energy_trunc(ds, model, state) - 1e-12
+            state = select_nearest(squared_distances(ds.points, model.means), cp)
+            assert ll >= free_energy_trunc(lj, state) - 1e-12
 
 
 class TestKlGap:
@@ -156,7 +160,7 @@ class TestKlGap:
 
     def test_identity_with_likelihood_and_closed_form(self):
         ds, resp, model, _ = four_point_post_iteration()
-        lhs = log_likelihood(ds, model) - free_energy_kmeans(2, 1, model.sigma2)
+        lhs = log_likelihood(log_joints(ds, model)) - free_energy_kmeans(2, 1, model.sigma2)
         assert abs(lhs - kl_gap(ds, model, resp)) <= 1e-10
 
     def test_positive_when_other_terms_contribute(self):
@@ -192,15 +196,17 @@ class TestEntropyForm:
         value = free_energy_entropy_form(
             ds, res.responsibilities, res.model.means, res.model.sigma2
         )
-        direct = free_energy_trunc(ds, res.model, res.responsibilities.support)
+        direct = free_energy_trunc(log_joints(ds, res.model), res.responsibilities.support)
         assert abs(value - direct) <= 1e-9
 
     def test_wider_sets_raise_free_energy_at_fixed_parameters(self):
         rng = np.random.default_rng(10)
         ds = Dataset(rng.normal(size=(30, 2)))
         model = IsotropicGMM(rng.normal(size=(4, 2)), 0.8)
-        f1 = free_energy_trunc(ds, model, select_nearest(ds.points, model.means, 1))
-        f2 = free_energy_trunc(ds, model, select_nearest(ds.points, model.means, 2))
+        lj = log_joints(ds, model)
+        d2 = squared_distances(ds.points, model.means)
+        f1 = free_energy_trunc(lj, select_nearest(d2, 1))
+        f2 = free_energy_trunc(lj, select_nearest(d2, 2))
         assert f2 >= f1
 
 
@@ -237,7 +243,7 @@ class TestAppendixForms:
             resp, means, _ = kmeans_step(ds, means)
             model, _ = m_step_iso(ds, resp)
             state = resp.support
-            direct = free_energy_trunc(ds, model, state)
+            direct = free_energy_trunc(log_joints(ds, model), state)
             closed = free_energy_kmeans(3, 2, model.sigma2)
             via_j, _, _ = appendix_forms(ds, resp, model.means, 3)
             assert abs(direct - closed) <= 1e-9

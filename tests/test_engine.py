@@ -15,6 +15,7 @@ from tvclust import (
     free_energy_trunc,
     kmeans_step,
     lazy_step,
+    log_joints,
     m_step_general,
     m_step_iso,
     make_rng,
@@ -26,12 +27,13 @@ from tvclust import (
     select_nearest,
     sigma2_floor,
     sigma_pi_step,
+    squared_distances,
     tvem_step,
 )
 from tvclust.data import GeneratorSpec, generate
 from tvclust.models import COV_RIDGE
 
-from conftest import blob_dataset
+from conftest import blob_dataset, count_calls
 
 
 class TestRunConfig:
@@ -84,6 +86,8 @@ class TestRunConfig:
             RunConfig(algorithm="kmeans_cprime", c=3, c_prime=4)
         with pytest.raises(ConfigurationError, match="epsilon must be >= 0"):
             RunConfig(algorithm="lazy_kmeans", c=3, epsilon=float("nan"))
+        with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+            RunConfig(algorithm="kmeans", c=3, seed=-1)
 
 
 class TestSeeding:
@@ -197,7 +201,7 @@ class TestMStepGeneral:
             rng.normal(size=(2, 3)),
             np.broadcast_to(np.eye(3), (2, 3, 3)).copy(),
         )
-        resp = responsibilities_exact(points, model0)
+        resp = responsibilities_exact(log_joints(points, model0))
         model, _ = m_step_general(points, resp, model0)
         for cov in model.covs:
             assert np.max(np.abs(cov - cov.T)) <= 1e-12
@@ -292,7 +296,7 @@ class TestTvemStep:
         ds = Dataset(rng.normal(size=(25, 2)))
         model = IsotropicGMM(rng.normal(size=(4, 2)), 0.8)
         resp, new_model, _ = tvem_step(ds, model, 4)
-        exact = responsibilities_exact(ds.points, model)
+        exact = responsibilities_exact(log_joints(ds.points, model))
         assert np.max(np.abs(resp.dense() - exact.dense())) <= 1e-12
         ref_model, _ = m_step_iso(ds, exact)
         assert np.max(np.abs(new_model.means - ref_model.means)) <= 1e-12
@@ -360,7 +364,7 @@ class TestTvemStep:
             for _ in range(30):
                 try:
                     resp, model, events = tvem_step(ds, model, c_prime)
-                    f = free_energy_trunc(ds, model, resp)
+                    f = free_energy_trunc(log_joints(ds, model), resp)
                 except NumericError:
                     break
                 ridge = COV_RIDGE * np.trace(model.covs, axis1=1, axis2=2) / 2
@@ -378,7 +382,7 @@ class TestLazyStep:
         ds = Dataset(rng.normal(size=(40, 2)))
         means = rng.normal(size=(4, 2))
         model = IsotropicGMM(means, 1.0)
-        state = select_nearest(ds.points, means, 1)
+        state = select_nearest(squared_distances(ds.points, means), 1)
         resp, new_model, _ = lazy_step(ds, model, 0.0, state)
         k_resp, k_means, _ = kmeans_step(ds, means)
         assert np.array_equal(resp.hard_labels(), k_resp.hard_labels())
@@ -388,7 +392,7 @@ class TestLazyStep:
         rng = np.random.default_rng(6)
         ds = Dataset(rng.normal(size=(30, 2)))
         means = rng.normal(size=(3, 2))
-        state = select_nearest(ds.points, means, 1)
+        state = select_nearest(squared_distances(ds.points, means), 1)
         model = IsotropicGMM(means, 1.0)
         frozen_labels = state[:, 0]
         resp, new_model, _ = lazy_step(ds, model, 1e12, state)
@@ -477,10 +481,10 @@ class TestEmGmmStep:
             ds.points[idx],
             np.broadcast_to(np.eye(2), (3, 2, 2)).copy(),
         )
-        prev = log_likelihood(ds.points, model)
+        prev = log_likelihood(log_joints(ds.points, model))
         for _ in range(10):
             _, model, _ = em_gmm_step(ds, model)
-            cur = log_likelihood(ds.points, model)
+            cur = log_likelihood(log_joints(ds.points, model))
             assert cur >= prev - 1e-9 * max(1.0, abs(prev))
             prev = cur
 
@@ -598,24 +602,6 @@ ALL_ALGORITHMS = [
 ]
 
 
-def _count_calls(monkeypatch, module_name, name, counted=lambda *args: True):
-    """Wrap ``name`` in every tvclust module holding it; return the count list."""
-    import sys
-
-    original = getattr(sys.modules[f"tvclust.{module_name}"], name)
-    calls = []
-
-    def counting(*args, **kwargs):
-        if counted(*args):
-            calls.append(1)
-        return original(*args, **kwargs)
-
-    for modname, module in list(sys.modules.items()):
-        if modname.startswith("tvclust") and getattr(module, name, None) is original:
-            monkeypatch.setattr(module, name, counting)
-    return calls
-
-
 class TestOneMatrixPerIteration:
     """``run`` builds its matrices once per iteration: squared distances and
     the log-joints built from them for the isotropic family, general
@@ -627,11 +613,11 @@ class TestOneMatrixPerIteration:
     def test_builds_per_iteration(self, monkeypatch, algorithm, extra, seeding):
         ds = blob_dataset(4)
         c = 4
-        dist = _count_calls(monkeypatch, "models", "squared_distances")
-        general = _count_calls(
+        dist = count_calls(monkeypatch, "models", "squared_distances")
+        general = count_calls(
             monkeypatch, "models", "log_joints", lambda y, model, *rest: hasattr(model, "covs")
         )
-        iso = _count_calls(
+        iso = count_calls(
             monkeypatch, "models", "log_joints", lambda y, model, *rest: not hasattr(model, "covs")
         )
         cfg = RunConfig(
@@ -655,7 +641,7 @@ class TestOneMatrixPerIteration:
         from tvclust.models import Responsibilities
 
         def checks(max_iters):
-            calls = _count_calls(
+            calls = count_calls(
                 monkeypatch, "models", "_index_sets",
                 lambda support, *rest: not isinstance(support, Responsibilities),
             )
@@ -665,3 +651,22 @@ class TestOneMatrixPerIteration:
             return len(calls)
 
         assert checks(6) - checks(1) <= 5
+
+
+class TestRecordBounds:
+    """Under the ``full`` rule the support is every cluster in index order,
+    so the record takes F from L; every other rule sums over its support."""
+
+    def test_em_gmm_record_takes_f_from_l(self, monkeypatch):
+        calls = count_calls(monkeypatch, "diagnostics", "free_energy_trunc")
+        cfg = RunConfig(algorithm="em_gmm", c=4, max_iters=6, tol=0.0, seed=1)
+        trace = run(blob_dataset(4), cfg).trace
+        assert calls == []
+        assert all(rec.gap == 0.0 for rec in trace)
+
+    def test_full_width_cprime_sums_its_support(self, monkeypatch):
+        # C' = C has a dense but permuted support, so it keeps the restricted sum
+        calls = count_calls(monkeypatch, "diagnostics", "free_energy_trunc")
+        cfg = RunConfig(algorithm="kmeans_cprime", c=4, c_prime=4, max_iters=6, tol=0.0, seed=1)
+        trace = run(blob_dataset(4), cfg).trace
+        assert len(calls) == len(trace)

@@ -126,19 +126,20 @@ class TestGeneralJoint:
 class TestExactResponsibilities:
     def test_single_component_is_exactly_one(self):
         model = IsotropicGMM(np.array([[1.0, 2.0]]), 0.3)
-        resp = responsibilities_exact(np.random.default_rng(1).normal(size=(7, 2)), model)
+        points = np.random.default_rng(1).normal(size=(7, 2))
+        resp = responsibilities_exact(log_joints(points, model))
         assert np.all(resp.weights == 1.0)
         assert resp.support.shape == (7, 1)
 
     def test_two_component_softmax(self):
         model = IsotropicGMM(np.array([[0.0], [1.0]]), 0.5)
-        resp = responsibilities_exact(np.array([[0.0]]), model)
+        resp = responsibilities_exact(log_joints(np.array([[0.0]]), model))
         expected = 1.0 / (1.0 + math.exp(-1.0))
         assert resp.dense()[0, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_equidistant_symmetry(self):
         model = IsotropicGMM(np.array([[-1.0], [1.0]]), 0.8)
-        resp = responsibilities_exact(np.array([[0.0]]), model)
+        resp = responsibilities_exact(log_joints(np.array([[0.0]]), model))
         assert np.allclose(resp.dense()[0], [0.5, 0.5], atol=1e-15)
 
     @given(seed=st.integers(0, 10_000))
@@ -146,7 +147,7 @@ class TestExactResponsibilities:
         rng = np.random.default_rng(seed)
         n, c, d = 6, 4, 2
         model = IsotropicGMM(rng.normal(size=(c, d)), float(rng.uniform(0.05, 2.0)))
-        resp = responsibilities_exact(rng.normal(size=(n, d)), model)
+        resp = responsibilities_exact(log_joints(rng.normal(size=(n, d)), model))
         w = resp.dense()
         assert np.all(w >= 0.0) and np.all(w <= 1.0)
         assert np.allclose(w.sum(axis=1), 1.0, atol=1e-12)
@@ -154,7 +155,7 @@ class TestExactResponsibilities:
     def test_stable_under_extreme_scale(self):
         # squared distances over sigma2 above 1e4 for every cluster
         model = IsotropicGMM(np.array([[200.0], [-200.0]]), 1.0)
-        resp = responsibilities_exact(np.array([[0.0], [50.0]]), model)
+        resp = responsibilities_exact(log_joints(np.array([[0.0], [50.0]]), model))
         w = resp.dense()
         assert np.all(np.isfinite(w))
         assert np.allclose(w.sum(axis=1), 1.0, atol=1e-12)
@@ -170,8 +171,8 @@ class TestExactResponsibilities:
             means,
             np.broadcast_to(sigma2 * np.eye(3), (5, 3, 3)).copy(),
         )
-        a = responsibilities_exact(points, iso).dense()
-        b = responsibilities_exact(points, gen).dense()
+        a = responsibilities_exact(log_joints(points, iso)).dense()
+        b = responsibilities_exact(log_joints(points, gen)).dense()
         assert np.max(np.abs(a - b)) <= 1e-12
 
 
@@ -301,9 +302,9 @@ class TestZeroWeightComponents:
             np.array([[0.0], [1.0]]),
             np.array([[[1.0]], [[1.0]]]),
         )
-        resp = responsibilities_exact(np.array([[0.0], [0.9]]), model)
+        resp = responsibilities_exact(log_joints(np.array([[0.0], [0.9]]), model))
         assert np.all(resp.dense()[:, 0] == 0.0)
-        scores = sigma_pi_scores(np.array([[0.0]]), model)
+        scores = sigma_pi_scores(log_joints(np.array([[0.0]]), model))
         assert scores[0, 0] == np.inf
         assert np.isfinite(scores[0, 1])
 

@@ -25,30 +25,32 @@ from conftest import random_instance
 
 class TestSelectNearest:
     def test_unique_nearest(self):
-        state = select_nearest(np.array([[2.0]]), np.array([[0.0], [3.0], [10.0]]), 1)
+        d2 = squared_distances(np.array([[2.0]]), np.array([[0.0], [3.0], [10.0]]))
+        state = select_nearest(d2, 1)
         assert state.tolist() == [[1]]
 
     def test_full_set_ordered_by_distance(self):
-        state = select_nearest(np.array([[2.0]]), np.array([[0.0], [3.0], [10.0]]), 3)
+        d2 = squared_distances(np.array([[2.0]]), np.array([[0.0], [3.0], [10.0]]))
+        state = select_nearest(d2, 3)
         assert state.tolist() == [[1, 0, 2]]
 
     def test_tie_breaks_to_smallest_index(self):
-        state = select_nearest(np.array([[0.0]]), np.array([[-1.0], [1.0]]), 1)
+        state = select_nearest(squared_distances(np.array([[0.0]]), np.array([[-1.0], [1.0]])), 1)
         assert state.tolist() == [[0]]
 
     def test_c_prime_bounds(self):
         means = np.array([[0.0], [1.0]])
         with pytest.raises(ConfigurationError):
-            select_nearest(np.array([[0.0]]), means, 0)
+            select_nearest(squared_distances(np.array([[0.0]]), means), 0)
         with pytest.raises(ConfigurationError):
-            select_nearest(np.array([[0.0]]), means, 3)
+            select_nearest(squared_distances(np.array([[0.0]]), means), 3)
 
     @given(seed=st.integers(0, 5_000), c_prime=st.integers(1, 4))
     def test_matches_sorted_distances(self, seed, c_prime):
         points, means = random_instance(seed, n_max=12, c_max=6, d_max=3)
         c_prime = min(c_prime, means.shape[0])
-        state = select_nearest(points, means, c_prime)
         d2 = squared_distances(points, means)
+        state = select_nearest(d2, c_prime)
         for i in range(points.shape[0]):
             chosen = d2[i, state[i]]
             others = np.delete(d2[i], state[i])
@@ -63,7 +65,7 @@ class TestLazyReassign:
         points = np.array([[0.0]])
         means = np.array([[1.4], [1.0]])
         state = np.array([[0]])
-        out = lazy_reassign(points, means, 0.5, state)
+        out = lazy_reassign(squared_distances(points, means), 0.5, state)
         assert out.tolist() == [[0]]
 
     def test_switch_when_improvement_large_enough(self):
@@ -71,7 +73,7 @@ class TestLazyReassign:
         points = np.array([[0.0]])
         means = np.array([[1.6], [1.0]])
         state = np.array([[0]])
-        out = lazy_reassign(points, means, 0.5, state)
+        out = lazy_reassign(squared_distances(points, means), 0.5, state)
         assert out.tolist() == [[1]]
 
     def test_zero_epsilon_matches_nearest_selection(self):
@@ -79,29 +81,31 @@ class TestLazyReassign:
         start = np.random.default_rng(5).integers(
             0, means.shape[0], size=(len(points), 1)
         )
-        lazy = lazy_reassign(points, means, 0.0, start)
-        nearest = select_nearest(points, means, 1)
+        d2 = squared_distances(points, means)
+        lazy = lazy_reassign(d2, 0.0, start)
+        nearest = select_nearest(d2, 1)
         assert np.array_equal(lazy, nearest)
 
     def test_rejects_wide_sets(self):
         points = np.array([[0.0]])
         means = np.array([[0.0], [1.0], [2.0]])
-        state = select_nearest(points, means, 2)
+        d2 = squared_distances(points, means)
+        state = select_nearest(d2, 2)
         with pytest.raises(ConfigurationError):
-            lazy_reassign(points, means, 0.1, state)
+            lazy_reassign(d2, 0.1, state)
 
     def test_rejects_negative_epsilon(self):
         points = np.array([[0.0]])
         state = np.array([[0]])
         with pytest.raises(ConfigurationError):
-            lazy_reassign(points, np.array([[0.0], [1.0]]), -0.1, state)
+            lazy_reassign(squared_distances(points, np.array([[0.0], [1.0]])), -0.1, state)
 
     def test_rejects_nan_epsilon(self):
         # a NaN factor never switches, so it would freeze every set silently
         points = np.array([[0.0], [10.0]])
         means = np.array([[0.0], [10.0]])
         with pytest.raises(ConfigurationError):
-            lazy_reassign(points, means, float("nan"), np.array([[1], [0]]))
+            lazy_reassign(squared_distances(points, means), float("nan"), np.array([[1], [0]]))
 
 
 class TestSigmaPiScore:
@@ -112,7 +116,7 @@ class TestSigmaPiScore:
             np.array([[0.0], [0.5]]),
             np.array([[[4.0]], [[0.25]]]),
         )
-        s0, s1 = sigma_pi_scores([[0.0]], model)[0]
+        s0, s1 = sigma_pi_scores(log_joints([[0.0]], model))[0]
         assert s0 == pytest.approx(
             math.log(8.0 * math.pi) + 2.0 * math.log(2.0), abs=1e-12
         )
@@ -130,8 +134,8 @@ class TestSigmaPiScore:
             means,
             np.broadcast_to(0.3 * np.eye(2), (4, 2, 2)).copy(),
         )
-        scores = sigma_pi_scores(points, model)
-        nearest = select_nearest(points, means, 1)[:, 0]
+        scores = sigma_pi_scores(log_joints(points, model))
+        nearest = select_nearest(squared_distances(points, means), 1)[:, 0]
         assert np.array_equal(np.argmin(scores, axis=1), nearest)
 
     def test_global_weight_scale_shifts_scores_equally(self):
@@ -142,7 +146,7 @@ class TestSigmaPiScore:
         covs = np.broadcast_to(np.eye(2), (3, 2, 2)).copy()
         model = GeneralGMM(np.array([0.2, 0.3, 0.5]), means, covs)
         y = rng.normal(size=2)
-        scores = sigma_pi_scores(y[None, :], model)[0]
+        scores = sigma_pi_scores(log_joints(y[None, :], model))[0]
         d2 = squared_distances(y[None, :], means)[0]
         doubled = np.array(
             [
@@ -162,16 +166,17 @@ class TestSigmaPiScore:
             rng.normal(size=(3, 2)),
             np.broadcast_to(0.8 * np.eye(2), (3, 2, 2)).copy(),
         )
-        scores = sigma_pi_scores(points, model)
+        lj = log_joints(points, model)
+        scores = sigma_pi_scores(lj)
         sets = np.full((6, 1), 2, dtype=np.int64)
-        f0 = free_energy_trunc(points, model, sets)
+        f0 = free_energy_trunc(lj, sets)
         for i in range(6):
             for cand in range(3):
                 if cand == 2:
                     continue
                 new = sets.copy()
                 new[i, 0] = cand
-                f1 = free_energy_trunc(points, model, new)
+                f1 = free_energy_trunc(lj, new)
                 if scores[i, cand] < scores[i, 2]:
                     assert f1 > f0
                 else:
@@ -183,14 +188,14 @@ class TestTruncatedResponsibilities:
         points, means = random_instance(31)
         for sigma2 in (1e-6, 1.0, 1e6):
             model = IsotropicGMM(means, sigma2)
-            state = select_nearest(points, means, 1)
-            resp = truncated_responsibilities(points, model, state)
+            state = select_nearest(squared_distances(points, means), 1)
+            resp = truncated_responsibilities(log_joints(points, model), state)
             assert np.all(resp.weights == 1.0)
 
     def test_two_term_softmax_values(self):
         model = IsotropicGMM(np.array([[0.0], [1.0]]), 0.5)
         state = np.array([[0, 1]])
-        resp = truncated_responsibilities(np.array([[0.0]]), model, state)
+        resp = truncated_responsibilities(log_joints(np.array([[0.0]]), model), state)
         p = 1.0 / (1.0 + math.exp(-1.0))
         assert resp.weights[0, 0] == pytest.approx(p, abs=1e-12)
         assert resp.weights[0, 1] == pytest.approx(1.0 - p, abs=1e-12)
@@ -198,9 +203,10 @@ class TestTruncatedResponsibilities:
     def test_full_sets_match_exact_posteriors(self):
         points, means = random_instance(44)
         model = IsotropicGMM(means, 0.4)
-        state = select_nearest(points, means, means.shape[0])
-        sparse = truncated_responsibilities(points, model, state).dense()
-        exact = responsibilities_exact(points, model).dense()
+        lj = log_joints(points, model)
+        state = select_nearest(squared_distances(points, means), means.shape[0])
+        sparse = truncated_responsibilities(lj, state).dense()
+        exact = responsibilities_exact(lj).dense()
         assert np.max(np.abs(sparse - exact)) <= 1e-12
 
     @given(seed=st.integers(0, 5_000))
@@ -209,8 +215,8 @@ class TestTruncatedResponsibilities:
         c = means.shape[0]
         cp = int(np.random.default_rng(seed).integers(1, c + 1))
         model = IsotropicGMM(means, 0.7)
-        state = select_nearest(points, means, cp)
-        resp = truncated_responsibilities(points, model, state)
+        state = select_nearest(squared_distances(points, means), cp)
+        resp = truncated_responsibilities(log_joints(points, model), state)
         assert np.allclose(resp.weights.sum(axis=1), 1.0, atol=1e-12)
         dense = resp.dense()
         off_support = np.ones_like(dense, dtype=bool)
@@ -221,7 +227,7 @@ class TestTruncatedResponsibilities:
         model = IsotropicGMM(np.array([[0.0], [1.0]]), 1.0)
         state = np.array([[3]])
         with pytest.raises(ConfigurationError):
-            truncated_responsibilities(np.array([[0.0]]), model, state)
+            truncated_responsibilities(log_joints(np.array([[0.0]]), model), state)
 
 
 
@@ -233,9 +239,13 @@ BAD_INDEX_SETS = {
     "not_2d": [0],
 }
 INDEX_CONSUMERS = {
-    "truncated_responsibilities": truncated_responsibilities,
-    "free_energy_trunc": free_energy_trunc,
-    "lazy_reassign": lambda y, model, sets: lazy_reassign(y, model.means, 0.1, sets),
+    "truncated_responsibilities": lambda y, model, sets: truncated_responsibilities(
+        log_joints(y, model), sets
+    ),
+    "free_energy_trunc": lambda y, model, sets: free_energy_trunc(log_joints(y, model), sets),
+    "lazy_reassign": lambda y, model, sets: lazy_reassign(
+        squared_distances(y, model.means), 0.1, sets
+    ),
 }
 
 
@@ -264,8 +274,7 @@ def test_select_nearest_is_stable_argsort_under_ties(c_prime):
     means = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0]])
     d2 = squared_distances(points, means)
     want = np.argsort(d2, axis=1, kind="stable")[:, :c_prime]
-    assert np.array_equal(select_nearest(points, means, c_prime), want)
-    assert np.array_equal(select_nearest(points, means, c_prime, d2), want)
+    assert np.array_equal(select_nearest(d2, c_prime), want)
 
 
 class TestSingleSwapMonotonicity:
@@ -285,7 +294,8 @@ class TestSingleSwapMonotonicity:
         cp = int(rng.integers(1, c))
         sets = np.array([rng.choice(c, size=cp, replace=False) for _ in range(n)])
         state = sets
-        f0 = free_energy_trunc(points, model, state)
+        lj = log_joints(points, model)
+        f0 = free_energy_trunc(lj, state)
         for i in range(n):
             for a in sets[i]:
                 for b in range(c):
@@ -293,7 +303,7 @@ class TestSingleSwapMonotonicity:
                         continue
                     new_sets = sets.copy()
                     new_sets[i, np.where(new_sets[i] == a)[0][0]] = b
-                    f1 = free_energy_trunc(points, model, new_sets)
+                    f1 = free_energy_trunc(lj, new_sets)
                     if d2[i, b] < d2[i, a]:
                         assert f1 > f0
                     else:
@@ -314,6 +324,6 @@ class TestNearestSelectionOptimality:
             sets = np.array(config)
             val = float(np.mean(logsumexp(np.take_along_axis(lj, sets, axis=1))))
             best = max(best, val)
-        chosen = free_energy_trunc(points, model, select_nearest(points, means, 2))
+        chosen = free_energy_trunc(lj, select_nearest(squared_distances(points, means), 2))
         assert chosen == pytest.approx(best, abs=1e-12)
         assert chosen >= best - 1e-12
