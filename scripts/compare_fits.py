@@ -1,0 +1,174 @@
+#!/usr/bin/env python3
+"""Run a fixed matrix of fits, or compare two runs of it.
+
+Run mode prints one JSON line per fit: five small datasets (a 3x3 grid,
+a 3-D uniform box, a 2-D uniform box at offset 1e5, a duplicate-heavy set
+and a 2000x4 uniform box) x six algorithm settings (kmeans, C' = 2,
+C' = C, lazy, em_gmm, sigma_pi) x both seedings x three seeds, C = 6,
+at most 30 iterations.  Each line holds the trace, the stop reason or the
+numeric-failure message, and hashes of the final model and posteriors:
+
+    PYTHONPATH=src python scripts/compare_fits.py > before.jsonl
+
+Compare mode reads two such outputs and prints a summary line: how many
+fits are byte-identical (trace and both hashes), the fits whose exact
+fields differ (record count, ``iter``, ``n_changed``, ``events``, stop
+reason, failure), and the largest relative change of ``J``, ``F``, ``L``,
+``gap`` and ``sigma2`` (absolute below magnitude 1).  One more line
+follows per fit whose exact fields differ.  The exit status is 1 if any
+exact field differs, a fit is missing, or a float moves by more than
+``--rtol``:
+
+    PYTHONPATH=src python scripts/compare_fits.py --compare before.jsonl after.jsonl
+"""
+
+import argparse
+import hashlib
+import json
+import sys
+from collections import Counter
+
+import numpy as np
+
+from tvclust import Dataset, GeneratorSpec, NumericError, RunConfig, generate, run
+from tvclust.models import model_to_snapshot
+
+C = 6
+MAX_ITERS = 30
+SEEDS = (0, 1, 2)
+SEEDINGS = ("uniform", "dsquared")
+EXACT = ("iter", "n_changed", "events")
+FLOATS = ("J", "F", "L", "gap", "sigma2")
+SETTINGS = {
+    "kmeans": ("kmeans", {}),
+    "cprime2": ("kmeans_cprime", {"c_prime": 2}),
+    "cprimeC": ("kmeans_cprime", {"c_prime": C}),
+    "lazy": ("lazy_kmeans", {"epsilon": 0.1}),
+    "em_gmm": ("em_gmm", {}),
+    "sigma_pi": ("sigma_pi", {}),
+}
+
+
+def _uniform(c_true, per_cluster_n, box, seed):
+    return generate(GeneratorSpec(kind="uniform", c_true=c_true, per_cluster_n=per_cluster_n,
+                                  domain_box=box, seed=seed))
+
+
+def _duplicates():
+    """The duplicate-heavy set of ``tests/test_golden.py``: six tight groups
+    of four jittered points, each group's first point repeated four more
+    times exactly."""
+    rng = np.random.default_rng(0)
+    centres = rng.uniform(0.0, 10.0, size=(6, 2))
+    jitter = centres[np.repeat(np.arange(6), 4)] + 0.01 * rng.normal(size=(24, 2))
+    return Dataset(np.vstack([jitter, np.repeat(jitter[::4], 4, axis=0)]))
+
+
+def datasets():
+    return {
+        "grid": generate(GeneratorSpec(kind="grid", c_true=9, per_cluster_n=20, seed=3)),
+        "uniform3d": _uniform(6, 30, ((0.0, 10.0),) * 3, 4),
+        "offset1e5": _uniform(6, 30, ((1e5, 1e5 + 10.0),) * 2, 5),
+        "duplicates": _duplicates(),
+        "uniform2000x4": _uniform(8, 250, ((0.0, 10.0),) * 4, 6),
+    }
+
+
+def _sha(*arrays_or_json):
+    digest = hashlib.sha256()
+    for item in arrays_or_json:
+        if isinstance(item, np.ndarray):
+            digest.update(np.ascontiguousarray(item).tobytes())
+        else:
+            digest.update(json.dumps(item).encode())
+    return digest.hexdigest()
+
+
+def fit_line(name, data, setting, seeding, seed):
+    algorithm, extra = SETTINGS[setting]
+    config = RunConfig(algorithm=algorithm, c=C, seeding=seeding, seed=seed,
+                       max_iters=MAX_ITERS, **extra)
+    line = {"fit": f"{name}/{setting}/{seeding}/{seed}", "n": data.n,
+            "reason": None, "failure": None, "model": None, "resp": None}
+    try:
+        result = run(data, config)
+    except NumericError as exc:
+        line["failure"] = str(exc)
+        trace = exc.trace
+    else:
+        line["reason"] = result.reason
+        line["model"] = _sha(model_to_snapshot(result.model))
+        line["resp"] = _sha(result.responsibilities.support, result.responsibilities.weights)
+        trace = result.trace
+    line["trace"] = [record.to_dict() for record in trace]
+    return line
+
+
+def run_matrix():
+    for name, data in datasets().items():
+        for setting in SETTINGS:
+            for seeding in SEEDINGS:
+                for seed in SEEDS:
+                    print(json.dumps(fit_line(name, data, setting, seeding, seed)))
+
+
+def _load(path):
+    with open(path) as fh:
+        return {line["fit"]: line for line in map(json.loads, fh)}
+
+
+def _rel(a, b):
+    if a == b or (a != a and b != b):  # equal, or both NaN
+        return 0.0
+    return abs(a - b) / max(1.0, abs(a))
+
+
+def compare(path_a, path_b, rtol):
+    a, b = _load(path_a), _load(path_b)
+    missing = sorted(set(a) ^ set(b))
+    differ, changed = [], Counter()
+    worst, worst_fit, identical = 0.0, None, 0
+    for fit in sorted(set(a) & set(b)):
+        la, lb = a[fit], b[fit]
+        fields = [k for k in ("reason", "failure") if la[k] != lb[k]]
+        if len(la["trace"]) != len(lb["trace"]):
+            fields.append("records")
+        for ra, rb in zip(la["trace"], lb["trace"]):
+            fields += [f"{ra['iter']}:{k}" for k in EXACT if ra[k] != rb[k]]
+            for k in FLOATS:
+                rel = _rel(ra[k], rb[k])
+                if rel > worst:
+                    worst, worst_fit = rel, fit
+        if fields:
+            differ.append({"fit": fit, "fields": fields})
+        if la == lb:
+            identical += 1
+        else:
+            changed["/".join(fit.split("/")[:2])] += 1
+    print(json.dumps({
+        "fits": len(set(a) & set(b)),
+        "missing": missing,
+        "byte_identical": identical,
+        "exact_differ": len(differ),
+        "max_rel_change": worst,
+        "max_rel_fit": worst_fit,
+        "changed": dict(sorted(changed.items())),
+    }))
+    for line in differ:
+        print(json.dumps(line))
+    return 1 if missing or differ or worst > rtol else 0
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"))
+    ap.add_argument("--rtol", type=float, default=1e-10)
+    args = ap.parse_args()
+    if args.compare:
+        return compare(*args.compare, args.rtol)
+    run_matrix()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

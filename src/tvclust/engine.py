@@ -18,7 +18,14 @@ singleton sets.  All five kernels return ``(resp, model|means, events)``:
 the posteriors, whose ``resp.support`` is K^(n), the new model (means for
 ``kmeans_step``) and any reseed events.  Every kernel but ``kmeans_step``
 is ``_e_step`` of its rule followed by its family's M-step; both M-steps
-return ``(model, events)`` and reseed their own empty clusters.
+return ``(model, events)``.
+
+In the M-step each mean is the posterior-weighted average of the data for
+both families, so one routine, ``_weighted_means``, computes it for
+``m_step_iso``, ``m_step_general`` and ``kmeans_step``, and reseeds
+zero-mass clusters at worst-fit points.  ``m_step_general`` adds only what
+the general family has of its own: scatter covariances, their ridge, the
+mixing weights, and the covariance and weight of a revived cluster.
 
 Each iteration of ``run`` builds its matrices once (``_matrices``): the
 log-joints, plus the squared distances they come from for the isotropic
@@ -30,9 +37,13 @@ Iteration 1 uses the initial state's posteriors.
 A run converges once the truncation sets (or hard shadow labels for exact
 EM) stop changing and the largest relative parameter change drops below
 ``tol``.  Every iteration appends a TraceRecord; the restricted-sum free
-energy recorded there is non-decreasing for every kernel (empty-cluster
-reseeds of the general model are the only event that may break this, and
-they are flagged in the record).
+energy recorded there is non-decreasing for every kernel, with two
+exceptions in the general family.  A revival of an empty cluster may lower
+it, and the record flags the event.  The relative covariance ridge may
+lower it, unflagged, under ``tvem_step`` on a ``GeneralGMM`` with C' > 1
+once a cluster's scatter is singular but not zero.  ``run`` never takes
+that path: its general-family algorithms use singleton sets (sigma_pi) or
+exact posteriors (em_gmm).
 """
 
 from __future__ import annotations
@@ -176,7 +187,7 @@ def seed_dsquared(dataset, c, rng, initial=None):
 # ---------------------------------------------------------------------------
 # M-steps
 
-_BLOCK = 1024  # rows per block of the general M-step's weighted sums
+_BLOCK = 256  # rows per block of the M-steps' weighted sums
 
 
 def _worst_fit(points, resp, means, empty):
@@ -200,21 +211,25 @@ def _worst_fit(points, resp, means, empty):
 
 
 def _weighted_means(points, resp):
-    """Weighted means, with zero-mass clusters reseeded by ``_worst_fit``.
+    """The mean update of both families: ``(mass, means, events)``.
 
-    Zero-mass clusters sit outside every truncation set, so the reseed
-    leaves the recorded free energy of the isotropic models untouched.  The
-    einsum calls no BLAS and sums over the points in order, so the means do
-    not depend on the BLAS thread count; its (D, C) target keeps the inner
-    loop on the contiguous cluster axis, several times faster than (C, D).
+    ``mass`` holds each cluster's summed posteriors and ``means`` the
+    posterior-weighted averages of the points.  The weighted sums add the
+    BLAS products ``w.T @ y`` of fixed blocks of ``_BLOCK`` rows in block
+    order, so the means do not depend on the BLAS thread count.  Zero-mass
+    clusters are reseeded by ``_worst_fit``, one event each; they sit
+    outside every truncation set, so the isotropic models' recorded free
+    energy is untouched.
     """
     w = resp.dense()
     mass = w.sum(axis=0)
+    wsum = w[:_BLOCK].T @ points[:_BLOCK]
+    for i in range(_BLOCK, points.shape[0], _BLOCK):
+        wsum += w[i : i + _BLOCK].T @ points[i : i + _BLOCK]
     nonempty = mass > 0.0
-    means = np.zeros((resp.n_clusters, points.shape[1]))
-    wsum = np.einsum("nc,nd->dc", w, points).T
+    means = np.zeros_like(wsum)
     means[nonempty] = wsum[nonempty] / mass[nonempty, None]
-    return _worst_fit(points, resp, means, np.flatnonzero(~nonempty))
+    return (mass, *_worst_fit(points, resp, means, np.flatnonzero(~nonempty)))
 
 
 def m_step_iso(dataset, resp):
@@ -226,7 +241,7 @@ def m_step_iso(dataset, resp):
     """
     points = _points_of(dataset)
     n, d = points.shape
-    means, events = _weighted_means(points, resp)
+    _, means, events = _weighted_means(points, resp)
     sigma2 = max(objective_j(points, resp, means) / (d * n), sigma2_floor(dataset))
     return IsotropicGMM(means, sigma2), events
 
@@ -234,33 +249,26 @@ def m_step_iso(dataset, resp):
 def m_step_general(dataset, resp, prev):
     """Weighted means, scatter covariances and mixing weights.
 
-    Covariances are normalized by responsibility mass, symmetrized, and
-    ridge-regularized once.  A zero-weight cluster is revived at a worst-fit
-    point with its covariance from ``prev`` and weight 1/N (other weights
-    rescaled); unlike the isotropic reseed this can lower the recorded free
-    energy, so the event is always traced.  The weighted sums add fixed row
-    blocks in order, so they do not depend on the BLAS thread count.
+    The means and the reseeded means of zero-mass clusters come from
+    ``_weighted_means``, as for the isotropic family.  Covariances are
+    normalized by responsibility mass, symmetrized, and ridge-regularized
+    once.  A reseeded cluster is revived with its covariance from ``prev``
+    and weight 1/N (other weights rescaled); unlike the isotropic reseed
+    this can lower the recorded free energy, so the event is always traced.
     """
     points = _points_of(dataset)
     n, d = points.shape
+    mass, means, events = _weighted_means(points, resp)
     w = resp.dense()
-    mass = w.sum(axis=0)
-    nonempty = np.flatnonzero(mass > 0.0)
-    wsum = w[:_BLOCK].T @ points[:_BLOCK]
-    for i in range(_BLOCK, n, _BLOCK):
-        wsum += w[i : i + _BLOCK].T @ points[i : i + _BLOCK]
-    means = np.zeros((resp.n_clusters, d))
-    means[nonempty] = wsum[nonempty] / mass[nonempty, None]
     covs = np.zeros((resp.n_clusters, d, d))
-    for k in nonempty:
+    for k in np.flatnonzero(mass > 0.0):
         diff = points - means[k]
         covs[k] = np.einsum("nd,ne->de", w[:, k, None] * diff, diff) / mass[k]
     covs = 0.5 * (covs + np.transpose(covs, (0, 2, 1)))
     covs = regularize_covariances(covs)
     weights = mass / n
     weights = weights / weights.sum()
-    empty = np.flatnonzero(weights == 0.0)
-    means, events = _worst_fit(points, resp, means, empty)
+    empty = np.flatnonzero(mass == 0.0)
     if empty.size:
         covs[empty] = prev.covs[empty]
         weights = weights * (1.0 - empty.size / n)
@@ -283,7 +291,7 @@ def kmeans_step(dataset, means):
     means = _points_of(means)
     labels = select_nearest(squared_distances(points, means), 1)[:, 0]
     resp = binary_responsibilities(labels, means.shape[0])
-    return (resp, *_weighted_means(points, resp))
+    return (resp, *_weighted_means(points, resp)[1:])
 
 
 def tvem_step(dataset, model, c_prime, resp=None):
@@ -291,9 +299,11 @@ def tvem_step(dataset, model, c_prime, resp=None):
     the M-step of the model's family.
 
     The recorded free energy never decreases across this step, but at a
-    general-model revival.  With c_prime = 1 the mean path coincides with
-    ``kmeans_step``; with c_prime = C it is one exact EM iteration for the
-    isotropic model.  Given this iteration's posteriors as ``resp`` (``run``
+    general-model revival, or, on a ``GeneralGMM`` with c_prime > 1, where
+    the covariance ridge of a singular but nonzero scatter lowers it with no
+    event (``run`` does not take that path).  With c_prime = 1 the mean path
+    coincides with ``kmeans_step``; with c_prime = C it is one exact EM
+    iteration for the isotropic model.  Given this iteration's posteriors as ``resp`` (``run``
     passes them for every algorithm), it runs only the M-step.
     """
     if resp is None:
@@ -436,10 +446,6 @@ def run(dataset, config):
     """
     if not isinstance(dataset, Dataset):
         dataset = Dataset(np.asarray(dataset))
-    if config.c > dataset.n:
-        raise ConfigurationError(
-            f"c={config.c} exceeds the number of data points N={dataset.n}"
-        )
     rng = make_rng(config.seed)
     rule = _PAIRS[config.algorithm][0]
     model, d2, lj, resp = _initial_state(dataset, config, rng)

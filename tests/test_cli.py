@@ -327,6 +327,7 @@ class TestRejectedInputs:
             ("experiment_gen_seed", "seed must be >= 0"),
             ("experiment_infinite_box", "finite"),
             ("generate_overflowing_box", "finite"),
+            ("fit_c_exceeds_n", "need 1 <= c <= N, got c=81, N=80"),
         ],
     )
     def test_config_error_without_traceback(self, tmp_path, capsys, case, words):
@@ -343,6 +344,7 @@ class TestRejectedInputs:
                                         "0:inf", *self.KMEANS, "--out", out],
             "generate_overflowing_box": ["generate", "--gen-kind", "uniform",
                                          "--gen-box=-1e308:1e308", "--out", out],
+            "fit_c_exceeds_n": ["fit", "--data", data, "--algorithm", "kmeans", "--c", "81"],
         }[case]
         capsys.readouterr()
         code = main(args)

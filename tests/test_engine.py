@@ -26,8 +26,10 @@ from tvclust import (
     seed_uniform,
     select_nearest,
     sigma2_floor,
+    sigma_pi_scores,
     sigma_pi_step,
     squared_distances,
+    truncated_responsibilities,
     tvem_step,
 )
 from tvclust.data import GeneratorSpec, generate
@@ -205,6 +207,24 @@ class TestMStepGeneral:
         model, _ = m_step_general(points, resp, model0)
         for cov in model.covs:
             assert np.max(np.abs(cov - cov.T)) <= 1e-12
+
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_means_equal_isotropic_means(self, k):
+        # the same posteriors give both families the same means, bit for
+        # bit, on K-wide sets of a general model with equal weights and
+        # shared isotropic covariances, at an offset where rounding shows
+        rng = np.random.default_rng(0)
+        ds = Dataset(1e5 + rng.uniform(0.0, 10.0, size=(3000, 3)))
+        gen = GeneralGMM(
+            np.full(6, 1.0 / 6.0),
+            ds.points[:6].copy(),
+            np.broadcast_to(4.0 * np.eye(3), (6, 3, 3)).copy(),
+        )
+        lj = log_joints(ds, gen)
+        resp = truncated_responsibilities(lj, select_nearest(sigma_pi_scores(lj), k))
+        assert np.array_equal(
+            m_step_general(ds, resp, gen)[0].means, m_step_iso(ds, resp)[0].means
+        )
 
 
 class TestGeneralRevival:
