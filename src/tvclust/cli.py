@@ -167,7 +167,7 @@ def _cmd_audit(args):
     if isinstance(model, IsotropicGMM):
         d2 = squared_distances(points, model.means)
         labels = select_nearest(d2, 1)[:, 0]
-        f_j, l_j, gap_j = appendix_forms(points, labels, model.means, model.c)
+        f_j, l_j, gap_j = appendix_forms(points, labels, model.means)
         report = {
             "kind": "iso",
             "J": objective_j(points, labels, model.means),

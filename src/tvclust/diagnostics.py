@@ -149,15 +149,15 @@ def kl_gap(dataset, model, assignments):
     return 0.5 * d + float(np.mean(logsumexp(-d2 / (2.0 * sigma2), axis=1)))
 
 
-def free_energy_entropy_form(dataset, resp, means, sigma2):
+def free_energy_entropy_form(dataset, resp, sigma2):
     """Hard-assignment closed form plus the mean entropy of the posteriors.
 
     F = -log(C) - (D/2) log(2 pi e sigma2) + (1/N) sum_n H(q^(n)), using
     0 log 0 = 0.  Binary posteriors contribute zero entropy, recovering the
     hard-assignment form.  Equals the restricted-sum free energy whenever
-    the supplied (q, means, sigma2) are a fixed point of the iteration; away
-    from the fixed point it is a lower bound (the posteriors at the new
-    parameters differ from q).
+    the supplied q and sigma2, with the means they came with, are a fixed
+    point of the iteration; away from the fixed point it is a lower bound
+    (the posteriors at the new parameters differ from q).
     """
     points = _points_of(dataset)
     n, d = points.shape
@@ -168,14 +168,15 @@ def free_energy_entropy_form(dataset, resp, means, sigma2):
     return free_energy_kmeans(resp.n_clusters, d, sigma2) + mean_entropy
 
 
-def appendix_forms(dataset, assignments, means, c):
+def appendix_forms(dataset, assignments, means):
     """The distortion-based forms (F, L, gap) with sigma2 replaced by J/(D N).
 
     F = -log(C) - (D/2) log((2 pi e / (D N)) J)
     gap = D/2 + (1/N) sum_n log sum_c exp(-(D N / 2) d_nc^2 / J)
     L = F + gap
 
-    J is floored at D * N * sigma2_floor so exact-fit data stays finite.
+    C is the number of rows of ``means``.  J is floored at
+    D * N * sigma2_floor so exact-fit data stays finite.
     The bound L >= F holds because the gap is nonnegative.
     """
     points = _points_of(dataset)
@@ -184,7 +185,7 @@ def appendix_forms(dataset, assignments, means, c):
     n, d = points.shape
     j = objective_j(points, resp, means)
     j_eff = max(j, d * n * sigma2_floor(points))
-    f = -math.log(c) - 0.5 * d * (_LOG_2PI_E + math.log(j_eff / (d * n)))
+    f = -math.log(means.shape[0]) - 0.5 * d * (_LOG_2PI_E + math.log(j_eff / (d * n)))
     d2 = squared_distances(points, means)
     gap = 0.5 * d + float(
         np.mean(logsumexp(-(0.5 * d * n) * d2 / j_eff, axis=1))

@@ -22,10 +22,14 @@ return ``(model, events)``.
 
 In the M-step each mean is the posterior-weighted average of the data for
 both families, so one routine, ``_weighted_means``, computes it for
-``m_step_iso``, ``m_step_general`` and ``kmeans_step``, and reseeds
-zero-mass clusters at worst-fit points.  ``m_step_general`` adds only what
-the general family has of its own: scatter covariances, their ridge, the
-mixing weights, and the covariance and weight of a revived cluster.
+``m_step_iso``, ``m_step_general`` and ``kmeans_step`` from the dense
+posteriors each builds once.  It alone decides which clusters are empty
+(mass below the smallest normal float) and reseeds them at worst-fit
+points.  ``m_step_general`` adds only what the general family has of its
+own: the other clusters' scatter covariances, their ridge, the mixing
+weights, and the covariance and weight of each revived empty cluster.
+``_shared_variance`` is sigma2 = J/(D N) for the seeded model and for
+``m_step_iso``.
 
 Each iteration of ``run`` builds its matrices once (``_matrices``): the
 log-joints, plus the squared distances they come from for the isotropic
@@ -191,45 +195,61 @@ _BLOCK = 256  # rows per block of the M-steps' weighted sums
 
 
 def _worst_fit(points, resp, means, empty):
-    """Move the ``empty`` clusters' means onto the worst-fit data points.
+    """Move the ``empty`` clusters' means, in place, onto worst-fit points.
 
     The k-th empty cluster lands on the point with the k-th largest
-    distance to its currently assigned (new) center.  Returns the new means
-    and one event per move.
+    distance to its currently assigned (new) center.  Returns one event per
+    move.
     """
     if empty.size == 0:
-        return means, []
+        return []
     diff = points - means[resp.hard_labels()]
     order = np.argsort(-np.einsum("nd,nd->n", diff, diff), kind="stable")
-    means = means.copy()
     events = []
     for k, cl in enumerate(empty):
         idx = int(order[min(k, order.size - 1)])
         means[cl] = points[idx]
         events.append(f"reseeded empty cluster {cl} at point {idx}")
-    return means, events
+    return events
 
 
-def _weighted_means(points, resp):
-    """The mean update of both families: ``(mass, means, events)``.
+def _weighted_means(points, resp, w):
+    """The mean update of both families: ``(mass, means, empty, events)``.
 
-    ``mass`` holds each cluster's summed posteriors and ``means`` the
-    posterior-weighted averages of the points.  The weighted sums add the
-    BLAS products ``w.T @ y`` of fixed blocks of ``_BLOCK`` rows in block
-    order, so the means do not depend on the BLAS thread count.  Zero-mass
-    clusters are reseeded by ``_worst_fit``, one event each; they sit
-    outside every truncation set, so the isotropic models' recorded free
-    energy is untouched.
+    ``w`` is ``resp.dense()``.  ``mass`` holds each cluster's summed
+    posteriors and ``means`` the posterior-weighted averages of the points.
+    The weighted sums add the BLAS products ``w.T @ y`` of fixed blocks of
+    ``_BLOCK`` rows in block order, so the means do not depend on the BLAS
+    thread count.  A cluster is empty when its mass is below the smallest
+    normal float: a subnormal mass keeps too few significant bits to carry
+    a mean or a covariance.  ``empty`` lists those clusters, which
+    ``_worst_fit`` reseeds, one event each.  Their posteriors sum to less
+    than that float, so the isotropic models' recorded free energy cannot
+    visibly move.
     """
-    w = resp.dense()
     mass = w.sum(axis=0)
     wsum = w[:_BLOCK].T @ points[:_BLOCK]
     for i in range(_BLOCK, points.shape[0], _BLOCK):
         wsum += w[i : i + _BLOCK].T @ points[i : i + _BLOCK]
-    nonempty = mass > 0.0
+    kept = mass >= np.finfo(float).tiny
     means = np.zeros_like(wsum)
-    means[nonempty] = wsum[nonempty] / mass[nonempty, None]
-    return (mass, *_worst_fit(points, resp, means, np.flatnonzero(~nonempty)))
+    means[kept] = wsum[kept] / mass[kept, None]
+    empty = np.flatnonzero(~kept)
+    return mass, means, empty, _worst_fit(points, resp, means, empty)
+
+
+def _shared_variance(dataset, assignments, means):
+    """sigma2 = J/(D N), clamped at the data-derived floor.
+
+    J is ``objective_j`` of ``assignments`` (labels or posteriors) around
+    ``means``.  Raises ``NumericError`` if J overflows.
+    """
+    points = _points_of(dataset)
+    n, d = points.shape
+    sigma2 = max(objective_j(points, assignments, means) / (d * n), sigma2_floor(dataset))
+    if not np.isfinite(sigma2):
+        raise NumericError(f"sigma2 {sigma2} is not finite (overflow)")
+    return sigma2
 
 
 def m_step_iso(dataset, resp):
@@ -239,36 +259,33 @@ def m_step_iso(dataset, resp):
     clamped at the data-derived floor.  Returns the model and any reseed
     events.
     """
-    points = _points_of(dataset)
-    n, d = points.shape
-    _, means, events = _weighted_means(points, resp)
-    sigma2 = max(objective_j(points, resp, means) / (d * n), sigma2_floor(dataset))
-    return IsotropicGMM(means, sigma2), events
+    _, means, _, events = _weighted_means(_points_of(dataset), resp, resp.dense())
+    return IsotropicGMM(means, _shared_variance(dataset, resp, means)), events
 
 
 def m_step_general(dataset, resp, prev):
     """Weighted means, scatter covariances and mixing weights.
 
-    The means and the reseeded means of zero-mass clusters come from
-    ``_weighted_means``, as for the isotropic family.  Covariances are
-    normalized by responsibility mass, symmetrized, and ridge-regularized
-    once.  A reseeded cluster is revived with its covariance from ``prev``
-    and weight 1/N (other weights rescaled); unlike the isotropic reseed
-    this can lower the recorded free energy, so the event is always traced.
+    The means, and the set of empty clusters with their reseeded means,
+    come from ``_weighted_means``, as for the isotropic family.  The other
+    clusters' covariances are normalized by responsibility mass,
+    symmetrized, and ridge-regularized once.  An empty cluster is revived
+    with its covariance from ``prev`` and weight 1/N (other weights
+    rescaled); unlike the isotropic reseed this can lower the recorded free
+    energy, so the event is always traced.
     """
     points = _points_of(dataset)
     n, d = points.shape
-    mass, means, events = _weighted_means(points, resp)
     w = resp.dense()
+    mass, means, empty, events = _weighted_means(points, resp, w)
     covs = np.zeros((resp.n_clusters, d, d))
-    for k in np.flatnonzero(mass > 0.0):
+    for k in np.delete(np.arange(resp.n_clusters), empty):
         diff = points - means[k]
         covs[k] = np.einsum("nd,ne->de", w[:, k, None] * diff, diff) / mass[k]
     covs = 0.5 * (covs + np.transpose(covs, (0, 2, 1)))
     covs = regularize_covariances(covs)
     weights = mass / n
     weights = weights / weights.sum()
-    empty = np.flatnonzero(mass == 0.0)
     if empty.size:
         covs[empty] = prev.covs[empty]
         weights = weights * (1.0 - empty.size / n)
@@ -291,7 +308,8 @@ def kmeans_step(dataset, means):
     means = _points_of(means)
     labels = select_nearest(squared_distances(points, means), 1)[:, 0]
     resp = binary_responsibilities(labels, means.shape[0])
-    return (resp, *_weighted_means(points, resp)[1:])
+    _, new_means, _, events = _weighted_means(points, resp, resp.dense())
+    return resp, new_means, events
 
 
 def tvem_step(dataset, model, c_prime, resp=None):
@@ -339,17 +357,10 @@ def sigma_pi_step(dataset, model):
 # the loop
 
 
-def _param_vector(model):
-    if isinstance(model, IsotropicGMM):
-        return np.concatenate([model.means.ravel(), [model.sigma2]])
-    return np.concatenate(
-        [model.weights, model.means.ravel(), model.covs.ravel()]
-    )
-
-
 def _rel_change(old, new):
-    a = _param_vector(old)
-    b = _param_vector(new)
+    """Largest change of any model parameter (every attribute of the model),
+    relative to the largest old parameter (at least 1)."""
+    a, b = (np.concatenate([np.ravel(v) for v in vars(m).values()]) for m in (old, new))
     return float(np.max(np.abs(b - a))) / max(1.0, float(np.max(np.abs(a))))
 
 
@@ -406,22 +417,16 @@ def _record(iteration, dataset, model, rule, resp, lj, n_changed, events):
 
 def _initial_state(dataset, config, rng):
     """Seeded model, its ``_matrices`` and the posteriors of its E-step."""
-    points = dataset.points
-    n, d = points.shape
     seed = seed_uniform if config.seeding == "uniform" else seed_dsquared
     means0 = seed(dataset, config.c, rng)
     d2 = squared_distances(dataset, means0)
     nearest1 = select_nearest(d2, 1)
-    sigma2_0 = max(
-        objective_j(points, nearest1[:, 0], means0) / (d * n),
-        sigma2_floor(dataset),
-    )
-    if not np.isfinite(sigma2_0):
-        raise NumericError(f"initial sigma2 {sigma2_0} is not finite (overflow)")
+    sigma2_0 = _shared_variance(dataset, nearest1[:, 0], means0)
     rule, family, _ = _PAIRS[config.algorithm]
     if family == "iso":
         model = IsotropicGMM(means0, sigma2_0)
     else:
+        d = means0.shape[1]
         covs0 = np.broadcast_to(sigma2_0 * np.eye(d), (config.c, d, d)).copy()
         model = GeneralGMM(np.full(config.c, 1.0 / config.c), means0, covs0)
         d2 = None

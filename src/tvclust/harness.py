@@ -114,21 +114,17 @@ def run_experiment(spec):
         out_dir = Path(spec.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    configs = [
-        replace(spec.config, seed=restart_seed(spec.config.seed, i))
-        for i in range(spec.restarts)
-    ]
-
-    def _one(i):
-        return run(dataset, configs[i])
-
+    config = spec.config
     results = [None] * spec.restarts
     failures = []
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        futures = {i: pool.submit(_one, i) for i in range(spec.restarts)}
-        for i in range(spec.restarts):
+        futures = [
+            pool.submit(run, dataset, replace(config, seed=restart_seed(config.seed, i)))
+            for i in range(spec.restarts)
+        ]
+        for i, future in enumerate(futures):
             try:
-                results[i] = futures[i].result()
+                results[i] = future.result()
             except NumericError as exc:
                 failures.append({"restart": i, "error": str(exc)})
 

@@ -230,9 +230,7 @@ def test_criterion_5_entropy_form():
                 tol=1e-12,
             )
             res = run(ds, cfg)
-            value = free_energy_entropy_form(
-                ds, res.responsibilities, res.model.means, res.model.sigma2
-            )
+            value = free_energy_entropy_form(ds, res.responsibilities, res.model.sigma2)
             direct = free_energy_trunc(log_joints(ds, res.model), res.responsibilities.support)
             assert abs(value - direct) <= 1e-9
             if cp == 1:
@@ -257,7 +255,7 @@ def test_criterion_6_distortion_identities():
             model, _ = m_step_iso(ds, resp)
             j = objective_j(ds, resp, model.means)
             assert abs(j - ds.d * ds.n * model.sigma2) <= 1e-12
-            f_j, l_j, gap_j = appendix_forms(ds, resp, model.means, 4)
+            f_j, l_j, gap_j = appendix_forms(ds, resp, model.means)
             f_direct = free_energy_kmeans(4, 2, model.sigma2)
             l_direct = log_likelihood(log_joints(ds, model))
             gap_direct = kl_gap(ds, model, resp)

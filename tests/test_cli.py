@@ -6,6 +6,10 @@ from tvclust.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 
 from conftest import count_calls
 
+NAN = float("nan")
+GENERAL = {"kind": "general", "means": [[0.0, 0.0]], "weights": [1.0],
+           "covs": [[[1.0, 0.0], [0.0, 1.0]]]}
+
 
 def _generate(tmp_path, kind="grid", extra=()):
     out = tmp_path / "data.csv"
@@ -133,6 +137,21 @@ class TestFit:
              "--epsilon", "nan"]
         )
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "labels,words",
+        [("0\n1\nx\n", "invalid literal"), ("0\n1\n", "2 labels for 80 points")],
+        ids=["non_integer", "wrong_count"],
+    )
+    def test_bad_labels_file_is_io_error(self, tmp_path, capsys, labels, words):
+        data = _generate(tmp_path)
+        (tmp_path / "data.csv.labels").write_text(labels)
+        capsys.readouterr()
+        code = main(["fit", "--data", str(data), "--algorithm", "kmeans", "--c", "4"])
+        err = capsys.readouterr().err
+        assert code == EXIT_IO
+        assert err.startswith("parse error: labels file") and words in err
+        assert "Traceback" not in err
 
     def test_argparse_rejects_unknown_algorithm(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -311,6 +330,30 @@ class TestAudit:
         assert err.startswith("configuration error:") and "dimension" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "snapshot,words",
+        [
+            ({"kind": "iso", "means": [], "sigma2": 1.0}, "non-empty C x D matrix"),
+            ({"kind": "iso", "means": [[NAN, 0.0]], "sigma2": 1.0}, "means must be finite"),
+            (dict(GENERAL, covs=[[1.0, 0.0], [0.0, 1.0]]), "covs must have shape (C, D, D)"),
+            (dict(GENERAL, weights=[0.5, 0.5]), "disagree on C or D"),
+            (dict(GENERAL, weights=[-0.5]), "weights must be nonnegative and finite"),
+            (dict(GENERAL, covs=[[[NAN, 0.0], [0.0, 1.0]]]), "means and covs must be finite"),
+        ],
+        ids=["iso_empty_means", "iso_nan_means", "general_covs_2d", "general_c_mismatch",
+             "general_negative_weight", "general_nan_cov"],
+    )
+    def test_invalid_model_message(self, tmp_path, capsys, snapshot, words):
+        data = _generate(tmp_path)  # 2-D points
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(snapshot))
+        capsys.readouterr()
+        code = main(["audit", "--data", str(data), "--model", str(model_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("configuration error:") and words in err
+        assert "Traceback" not in err
+
 
 class TestRejectedInputs:
     """Values numpy's generators reject deep inside a command exit 2 up front."""
@@ -328,6 +371,8 @@ class TestRejectedInputs:
             ("experiment_infinite_box", "finite"),
             ("generate_overflowing_box", "finite"),
             ("fit_c_exceeds_n", "need 1 <= c <= N, got c=81, N=80"),
+            ("generate_bad_box_axis", "bad --gen-box axis '2'; expected lo:hi"),
+            ("generate_without_kind", "generate requires --gen-kind"),
         ],
     )
     def test_config_error_without_traceback(self, tmp_path, capsys, case, words):
@@ -345,12 +390,25 @@ class TestRejectedInputs:
             "generate_overflowing_box": ["generate", "--gen-kind", "uniform",
                                          "--gen-box=-1e308:1e308", "--out", out],
             "fit_c_exceeds_n": ["fit", "--data", data, "--algorithm", "kmeans", "--c", "81"],
+            "generate_bad_box_axis": ["generate", "--gen-kind", "uniform", "--gen-box", "0:1,2",
+                                      "--out", out],
+            "generate_without_kind": ["generate", "--out", out],
         }[case]
         capsys.readouterr()
         code = main(args)
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert err.startswith("configuration error:") and words in err
+        assert "Traceback" not in err
+
+    def test_zero_worker_threads(self, tmp_path, capsys, monkeypatch):
+        data = str(_generate(tmp_path))
+        monkeypatch.setenv("TVEM_THREADS", "0")
+        capsys.readouterr()
+        code = main(["experiment", "--data", data, *self.KMEANS, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("configuration error:") and "TVEM_THREADS must be >= 1" in err
         assert "Traceback" not in err
 
 

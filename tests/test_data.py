@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from tvclust import (
     ConfigurationError,
     Dataset,
+    GeneralGMM,
     GeneratorSpec,
     IsotropicGMM,
     ParseError,
@@ -57,6 +58,11 @@ class TestGeneratorSpec:
     def test_bad_kind(self):
         with pytest.raises(ConfigurationError):
             GeneratorSpec(kind="blobs", c_true=4, per_cluster_n=10)
+
+    def test_c_true_must_match_model(self):
+        model = IsotropicGMM(np.array([[0.0], [100.0]]), 0.5)
+        with pytest.raises(ConfigurationError, match="c_true must match"):
+            GeneratorSpec(kind="explicit-gmm", c_true=3, per_cluster_n=10, model=model)
 
     def test_bad_counts(self):
         with pytest.raises(ConfigurationError):
@@ -125,6 +131,25 @@ class TestGenerate:
         ds = generate(spec)
         assert ds.n == 400
         assert abs(ds.points[ds.labels == 1].mean() - 100.0) < 0.5
+
+    def test_explicit_general_gmm_kind(self):
+        model = GeneralGMM(
+            np.array([0.5, 0.5]),
+            np.array([[0.0, 0.0], [50.0, 0.0]]),
+            np.array([[[1.0, 0.5], [0.5, 1.0]], [[2.0, 0.0], [0.0, 0.5]]]),
+        )
+        spec = GeneratorSpec(
+            kind="explicit-gmm", c_true=2, per_cluster_n=300, model=model, seed=5
+        )
+        a = generate(spec)
+        b = generate(spec)
+        assert np.array_equal(a.points, b.points)
+        assert np.array_equal(a.labels, b.labels)
+        assert a.points.shape == (600, 2)
+        for c in range(2):
+            pts = a.points[a.labels == c]
+            assert np.all(np.abs(pts.mean(axis=0) - model.means[c]) < 0.3)
+            assert np.all(np.abs(np.cov(pts.T) - model.covs[c]) < 0.4)
 
     def test_explicit_gmm_requires_model(self):
         with pytest.raises(ConfigurationError):

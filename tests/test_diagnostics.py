@@ -173,7 +173,7 @@ class TestKlGap:
 class TestEntropyForm:
     def test_binary_reduces_to_closed_form(self):
         ds, resp, model, _ = four_point_post_iteration()
-        value = free_energy_entropy_form(ds, resp, model.means, model.sigma2)
+        value = free_energy_entropy_form(ds, resp, model.sigma2)
         assert value == pytest.approx(
             free_energy_kmeans(2, 1, model.sigma2), abs=1e-15
         )
@@ -183,7 +183,7 @@ class TestEntropyForm:
         support = np.tile(np.array([0, 1]), (4, 1))
         weights = np.full((4, 2), 0.5)
         resp = Responsibilities(support, weights, 2)
-        value = free_energy_entropy_form(ds, resp, np.array([[0.5], [3.5]]), 0.25)
+        value = free_energy_entropy_form(ds, resp, 0.25)
         assert value - free_energy_kmeans(2, 1, 0.25) == pytest.approx(
             math.log(2.0), abs=1e-12
         )
@@ -193,9 +193,7 @@ class TestEntropyForm:
         cfg = RunConfig(algorithm="kmeans_cprime", c=3, c_prime=2, seed=4, tol=1e-12)
         res = run(ds, cfg)
         assert res.reason == "converged"
-        value = free_energy_entropy_form(
-            ds, res.responsibilities, res.model.means, res.model.sigma2
-        )
+        value = free_energy_entropy_form(ds, res.responsibilities, res.model.sigma2)
         direct = free_energy_trunc(log_joints(ds, res.model), res.responsibilities.support)
         assert abs(value - direct) <= 1e-9
 
@@ -213,14 +211,14 @@ class TestEntropyForm:
 class TestAppendixForms:
     def test_matches_direct_form_on_four_points(self):
         ds, resp, model, _ = four_point_post_iteration()
-        f, l, gap = appendix_forms(ds, resp, model.means, 2)
+        f, l, gap = appendix_forms(ds, resp, model.means)
         assert f == pytest.approx(free_energy_kmeans(2, 1, 0.25), abs=1e-12)
         assert l == pytest.approx(L_FOUR, abs=1e-12)
         assert gap == pytest.approx(GAP_FOUR, rel=1e-9)
 
     def test_exact_fit_stays_finite(self):
         ds = Dataset([[0.0], [4.0]])
-        f, l, gap = appendix_forms(ds, [0, 1], np.array([[0.0], [4.0]]), 2)
+        f, l, gap = appendix_forms(ds, [0, 1], np.array([[0.0], [4.0]]))
         assert math.isfinite(f) and math.isfinite(l)
 
     def test_bound_holds_on_random_post_iteration_states(self):
@@ -231,7 +229,7 @@ class TestAppendixForms:
             ds = Dataset(rng.normal(size=(n, 2)))
             means = ds.points[rng.choice(n, c, replace=False)]
             resp, new_means, _ = kmeans_step(ds, means)
-            f, l, gap = appendix_forms(ds, resp, new_means, c)
+            f, l, gap = appendix_forms(ds, resp, new_means)
             assert l >= f - 1e-10
             assert gap >= -1e-10
 
@@ -245,7 +243,7 @@ class TestAppendixForms:
             state = resp.support
             direct = free_energy_trunc(log_joints(ds, model), state)
             closed = free_energy_kmeans(3, 2, model.sigma2)
-            via_j, _, _ = appendix_forms(ds, resp, model.means, 3)
+            via_j, _, _ = appendix_forms(ds, resp, model.means)
             assert abs(direct - closed) <= 1e-9
             assert abs(closed - via_j) <= 1e-9
 

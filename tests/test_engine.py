@@ -90,6 +90,8 @@ class TestRunConfig:
             RunConfig(algorithm="lazy_kmeans", c=3, epsilon=float("nan"))
         with pytest.raises(ConfigurationError, match="seed must be >= 0"):
             RunConfig(algorithm="kmeans", c=3, seed=-1)
+        with pytest.raises(ConfigurationError, match="tol must be >= 0"):
+            RunConfig(algorithm="kmeans", c=3, tol=float("nan"))
 
 
 class TestSeeding:
@@ -270,6 +272,35 @@ class TestGeneralRevival:
             "reseeded empty cluster 1 at point 3",
             "reseeded empty cluster 2 at point 0",
         ]
+
+
+class TestSubnormalMass:
+    """A cluster whose mass is positive but below the smallest normal float
+    is empty for both families: reseeded, and revived in the general one."""
+
+    # Exact or nearest-2 posteriors give the far cluster 1 a mass of ~2e-320.
+    ds = Dataset(np.random.default_rng(0).uniform(0.0, 1.0, size=(5000, 1)))
+
+    def _reseeded_at(self, resp, events):
+        assert 0.0 < resp.dense()[:, 1].sum() < np.finfo(float).tiny
+        assert len(events) == 1
+        prefix = "reseeded empty cluster 1 at point "
+        assert events[0].startswith(prefix)
+        return self.ds.points[int(events[0][len(prefix):])]
+
+    def test_general_cluster_revived(self):
+        prev = GeneralGMM([0.5, 0.5], [[0.5], [39.5]], np.ones((2, 1, 1)))
+        resp, model, events = em_gmm_step(self.ds, prev)
+        assert model.means[1].tolist() == self._reseeded_at(resp, events).tolist()
+        assert model.covs[1, 0, 0] == prev.covs[1, 0, 0]
+        assert model.weights[1] == 1.0 / self.ds.n
+        # the next E-step factorizes every covariance: no NumericError
+        em_gmm_step(self.ds, model)
+
+    def test_isotropic_cluster_reseeded(self):
+        model = IsotropicGMM([[0.5], [39.5]], 1.0)
+        resp, new_model, events = tvem_step(self.ds, model, 2)
+        assert new_model.means[1].tolist() == self._reseeded_at(resp, events).tolist()
 
 
 class TestKmeansStep:
@@ -547,6 +578,16 @@ class TestRun:
         assert len(a.trace) == len(b.trace)
         for ra, rb in zip(a.trace, b.trace):
             assert ra.to_dict() == rb.to_dict()
+
+    @pytest.mark.parametrize("algorithm,extra", [("kmeans_cprime", {"c_prime": 2}),
+                                                 ("em_gmm", {})])
+    def test_raw_array_same_trace_as_dataset(self, algorithm, extra):
+        ds = blob_dataset(6)
+        cfg = RunConfig(algorithm=algorithm, c=4, seed=3, max_iters=10, **extra)
+        a = run(ds, cfg)
+        b = run(np.array(ds.points), cfg)
+        assert [r.to_dict() for r in a.trace] == [r.to_dict() for r in b.trace]
+        assert np.array_equal(a.model.means, b.model.means)
 
     def test_c_larger_than_n_rejected(self, four_points):
         with pytest.raises(ConfigurationError):

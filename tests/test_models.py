@@ -196,6 +196,10 @@ class TestResponsibilitiesContainer:
             )  # does not sum to one
         with pytest.raises(ConfigurationError):
             Responsibilities(np.array([[5]]), np.array([[1.0]]), 3)  # out of range
+        with pytest.raises(ConfigurationError, match="share shape"):
+            Responsibilities(np.array([[0, 1]]), np.array([[1.0]]), 3)
+        with pytest.raises(ConfigurationError, match="nonnegative"):
+            Responsibilities(np.array([[0, 1]]), np.array([[1.5, -0.5]]), 3)
 
 
 class TestSnapshots:
