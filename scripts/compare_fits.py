@@ -1,36 +1,46 @@
 #!/usr/bin/env python3
 """Run a fixed matrix of fits, or compare two runs of it.
 
-Run mode prints one JSON line per fit: five small datasets (a 3x3 grid,
-a 3-D uniform box, a 2-D uniform box at offset 1e5, a duplicate-heavy set
-and a 2000x4 uniform box) x six algorithm settings (kmeans, C' = 2,
-C' = C, lazy, em_gmm, sigma_pi) x both seedings x three seeds, C = 6,
-at most 30 iterations.  Each line holds the trace, the stop reason or the
-numeric-failure message, and hashes of the final model and posteriors:
+Run mode prints one JSON line per fit: six small datasets (a 3x3 grid,
+a 3-D uniform box, a 2-D uniform box at offset 1e5, a duplicate-heavy set,
+a 2000x4 uniform box and a set drawn from an explicit general mixture) x
+six algorithm settings (kmeans, C' = 2, C' = C, lazy, em_gmm, sigma_pi) x
+both seedings x three seeds, C = 6, at most 30 iterations.  Each line
+holds the trace, the stop reason or the numeric-failure message, hashes
+of the final model and posteriors, a hash of the dataset's points and
+labels, and, for a fit that succeeds, a hash of the ``tvclust audit``
+report of its final model (exit code, stdout, stderr and the ``--out``
+file; run in-process on temporary files):
 
     PYTHONPATH=src python scripts/compare_fits.py > before.jsonl
 
 Compare mode reads two such outputs and prints a summary line: how many
-fits are byte-identical (trace and both hashes), the fits whose exact
+fits are byte-identical (trace and all hashes), the fits whose exact
 fields differ (record count, ``iter``, ``n_changed``, ``events``, stop
-reason, failure), and the largest relative change of ``J``, ``F``, ``L``,
-``gap`` and ``sigma2`` (absolute below magnitude 1).  One more line
-follows per fit whose exact fields differ.  The exit status is 1 if any
-exact field differs, a fit is missing, or a float moves by more than
-``--rtol``:
+reason, failure, dataset hash, audit hash), and the largest relative
+change of ``J``, ``F``, ``L``, ``gap`` and ``sigma2`` (absolute below
+magnitude 1).  One more line follows per fit whose exact fields differ.
+The exit status is 1 if any exact field differs, a fit is missing, or a
+float moves by more than ``--rtol``:
 
     PYTHONPATH=src python scripts/compare_fits.py --compare before.jsonl after.jsonl
 """
 
 import argparse
 import hashlib
+import io
 import json
 import sys
+import tempfile
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 
-from tvclust import Dataset, GeneratorSpec, NumericError, RunConfig, generate, run
+from tvclust import (Dataset, GeneralGMM, GeneratorSpec, NumericError, RunConfig, generate,
+                     run, save_csv, save_model)
+from tvclust.cli import main as cli_main
 from tvclust.models import model_to_snapshot
 
 C = 6
@@ -38,6 +48,7 @@ MAX_ITERS = 30
 SEEDS = (0, 1, 2)
 SEEDINGS = ("uniform", "dsquared")
 EXACT = ("iter", "n_changed", "events")
+EXACT_LINE = ("reason", "failure", "data", "audit")
 FLOATS = ("J", "F", "L", "gap", "sigma2")
 SETTINGS = {
     "kmeans": ("kmeans", {}),
@@ -64,6 +75,16 @@ def _duplicates():
     return Dataset(np.vstack([jitter, np.repeat(jitter[::4], 4, axis=0)]))
 
 
+def _general():
+    """Three correlated 2-D components, drawn through the general-model
+    path of ``generate``."""
+    model = GeneralGMM(np.full(3, 1.0 / 3.0), np.array([[0.0, 0.0], [6.0, 0.0], [0.0, 6.0]]),
+                       np.array([[[1.0, 0.6], [0.6, 1.0]], [[2.0, 0.0], [0.0, 0.5]],
+                                 [[0.5, -0.2], [-0.2, 1.0]]]))
+    return generate(GeneratorSpec(kind="explicit-gmm", c_true=3, per_cluster_n=40,
+                                  model=model, seed=7))
+
+
 def datasets():
     return {
         "grid": generate(GeneratorSpec(kind="grid", c_true=9, per_cluster_n=20, seed=3)),
@@ -71,6 +92,7 @@ def datasets():
         "offset1e5": _uniform(6, 30, ((1e5, 1e5 + 10.0),) * 2, 5),
         "duplicates": _duplicates(),
         "uniform2000x4": _uniform(8, 250, ((0.0, 10.0),) * 4, 6),
+        "general": _general(),
     }
 
 
@@ -84,12 +106,27 @@ def _sha(*arrays_or_json):
     return digest.hexdigest()
 
 
+def _audit(data, model):
+    """Hash of ``tvclust audit`` on ``data`` and ``model``: its exit code,
+    stdout, stderr and ``--out`` file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        data_path, model_path, out_path = (Path(tmp) / f for f in ("d.csv", "m.json", "a.json"))
+        save_csv(data, data_path)
+        save_model(model, model_path)
+        with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+            code = cli_main(["audit", "--data", str(data_path), "--model", str(model_path),
+                             "--out", str(out_path)])
+        report = out_path.read_text() if out_path.exists() else None
+    return _sha(code, out.getvalue(), err.getvalue(), report)
+
+
 def fit_line(name, data, setting, seeding, seed):
     algorithm, extra = SETTINGS[setting]
     config = RunConfig(algorithm=algorithm, c=C, seeding=seeding, seed=seed,
                        max_iters=MAX_ITERS, **extra)
     line = {"fit": f"{name}/{setting}/{seeding}/{seed}", "n": data.n,
-            "reason": None, "failure": None, "model": None, "resp": None}
+            "reason": None, "failure": None, "model": None, "resp": None,
+            "data": _sha(data.points, data.labels), "audit": None}
     try:
         result = run(data, config)
     except NumericError as exc:
@@ -99,6 +136,7 @@ def fit_line(name, data, setting, seeding, seed):
         line["reason"] = result.reason
         line["model"] = _sha(model_to_snapshot(result.model))
         line["resp"] = _sha(result.responsibilities.support, result.responsibilities.weights)
+        line["audit"] = _audit(data, result.model)
         trace = result.trace
     line["trace"] = [record.to_dict() for record in trace]
     return line
@@ -130,7 +168,7 @@ def compare(path_a, path_b, rtol):
     worst, worst_fit, identical = 0.0, None, 0
     for fit in sorted(set(a) & set(b)):
         la, lb = a[fit], b[fit]
-        fields = [k for k in ("reason", "failure") if la[k] != lb[k]]
+        fields = [k for k in EXACT_LINE if la.get(k) != lb.get(k)]
         if len(la["trace"]) != len(lb["trace"]):
             fields.append("records")
         for ra, rb in zip(la["trace"], lb["trace"]):

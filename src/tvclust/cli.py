@@ -1,14 +1,20 @@
 """Command-line interface: generate, fit, experiment, audit.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numeric
-failure in all restarts.
+failure in all restarts, or an ``audit`` bound that is not finite.
+
+A run or generator flag that is not given leaves the field to the default
+of ``RunConfig`` or ``GeneratorSpec``; only the generator's cluster count
+and size, which have no default there, have one here.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -48,18 +54,23 @@ def _parse_box(text):
 
 
 def _add_generator_args(parser):
-    parser.add_argument("--gen-kind", choices=("grid", "uniform"), default=None)
+    parser.add_argument("--gen-kind", choices=("grid", "uniform"))
     parser.add_argument("--gen-c-true", type=int, default=25)
     parser.add_argument("--gen-per-cluster-n", type=int, default=100)
-    parser.add_argument("--gen-sigma", type=float, default=1.0)
-    parser.add_argument("--gen-spacing", type=float, default=None)
-    parser.add_argument("--gen-box", type=str, default=None,
+    parser.add_argument("--gen-sigma", type=float)
+    parser.add_argument("--gen-spacing", type=float)
+    parser.add_argument("--gen-box", type=str,
                         help="uniform kind bounding box, e.g. 0:16,0:16")
-    parser.add_argument("--gen-seed", type=int, default=0)
+    parser.add_argument("--gen-seed", type=int)
+
+
+def _given(**values):
+    """The keyword arguments whose flag was given (is not ``None``)."""
+    return {name: value for name, value in values.items() if value is not None}
 
 
 def _generator_spec(args):
-    return GeneratorSpec(
+    return GeneratorSpec(**_given(
         kind=args.gen_kind,
         c_true=args.gen_c_true,
         per_cluster_n=args.gen_per_cluster_n,
@@ -67,31 +78,24 @@ def _generator_spec(args):
         spacing=args.gen_spacing,
         domain_box=None if args.gen_box is None else _parse_box(args.gen_box),
         seed=args.gen_seed,
-    )
+    ))
 
 
 def _add_run_args(parser):
     parser.add_argument("--algorithm", choices=ALGORITHMS, required=True)
     parser.add_argument("--c", type=int, required=True)
-    parser.add_argument("--c-prime", type=int, default=None)
-    parser.add_argument("--epsilon", type=float, default=None)
-    parser.add_argument("--seeding", choices=SEEDINGS, default="dsquared")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-iters", type=int, default=200)
-    parser.add_argument("--tol", type=float, default=1e-9)
+    parser.add_argument("--c-prime", type=int)
+    parser.add_argument("--epsilon", type=float)
+    parser.add_argument("--seeding", choices=SEEDINGS)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--max-iters", type=int)
+    parser.add_argument("--tol", type=float)
 
 
 def _run_config(args):
-    return RunConfig(
-        algorithm=args.algorithm,
-        c=args.c,
-        c_prime=args.c_prime,
-        epsilon=args.epsilon,
-        seeding=args.seeding,
-        max_iters=args.max_iters,
-        tol=args.tol,
-        seed=args.seed,
-    )
+    """A ``RunConfig`` field reads the flag of its name; a field with no
+    flag, or a flag not given, keeps its default."""
+    return RunConfig(**_given(**{f.name: getattr(args, f.name, None) for f in fields(RunConfig)}))
 
 
 def _cmd_generate(args):
@@ -128,9 +132,7 @@ def _cmd_fit(args):
 
 
 def _cmd_experiment(args):
-    has_gen = args.gen_kind is not None
-    has_data = args.data is not None
-    if has_gen == has_data:
+    if (args.gen_kind is None) == (args.data is None):
         raise ConfigurationError(
             "experiment requires exactly one of --data or --gen-kind"
         )
@@ -138,8 +140,8 @@ def _cmd_experiment(args):
         config=_run_config(args),
         restarts=args.restarts,
         out_dir=args.out,
-        generator=_generator_spec(args) if has_gen else None,
-        data_path=args.data if has_data else None,
+        generator=None if args.gen_kind is None else _generator_spec(args),
+        data_path=args.data,
     )
     summary = run_experiment(spec)
     print(
@@ -164,36 +166,26 @@ def _cmd_audit(args):
             f"model dimension {model.d} does not match data dimension {dataset.d}"
         )
     points = dataset.points
-    if isinstance(model, IsotropicGMM):
-        d2 = squared_distances(points, model.means)
-        labels = select_nearest(d2, 1)[:, 0]
-        f_j, l_j, gap_j = appendix_forms(points, labels, model.means)
-        report = {
-            "kind": "iso",
-            "J": objective_j(points, labels, model.means),
-            "F": f_j,
-            "L": l_j,
-            "gap": gap_j,
-            "L_at_model_sigma2": log_likelihood(log_joints(points, model, d2)),
-        }
+    iso = isinstance(model, IsotropicGMM)
+    d2 = squared_distances(points, model.means) if iso else None
+    with np.errstate(over="ignore"):
+        lj = log_joints(points, model, d2)
+    labels = select_nearest(d2 if iso else sigma_pi_scores(lj), 1)
+    ll = log_likelihood(lj)
+    report = {"kind": "iso" if iso else "general", "J": objective_j(points, labels, model.means)}
+    if iso:
+        f, l_j, gap = appendix_forms(points, labels, model.means)
+        report.update(F=f, L=l_j, gap=gap, L_at_model_sigma2=ll)
     else:
-        lj = log_joints(points, model)
-        labels = np.argmin(sigma_pi_scores(lj), axis=1)
-        f = free_energy_trunc(lj, labels[:, None])
-        ll = log_likelihood(lj)
-        report = {
-            "kind": "general",
-            "J": objective_j(points, labels, model.means),
-            "F": f,
-            "L": ll,
-            "gap": ll - f,
-        }
+        f = free_energy_trunc(lj, labels)
+        report.update(F=f, L=ll, gap=ll - f)
+    bad = [name for name, value in report.items() if name != "kind" and not math.isfinite(value)]
+    if bad:
+        raise NumericError(f"audit values are not finite: {', '.join(bad)}")
     report["model"] = model_to_snapshot(model)
-    text = json.dumps(report, indent=2)
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
-    print(text)
+        emit(report, args.out)
+    print(json.dumps(report, indent=2))
     return EXIT_OK
 
 

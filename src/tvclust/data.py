@@ -97,8 +97,8 @@ class GeneratorSpec:
             raise ConfigurationError("c_true must be >= 1")
         if self.per_cluster_n < 1:
             raise ConfigurationError("per_cluster_n must be >= 1")
-        if not self.gen_sigma > 0.0:
-            raise ConfigurationError("gen_sigma must be positive")
+        if not 0.0 < self.gen_sigma < math.inf:
+            raise ConfigurationError("gen_sigma must be positive and finite")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.kind == "grid":
@@ -107,8 +107,8 @@ class GeneratorSpec:
                 raise ConfigurationError(
                     f"grid kind requires a perfect-square c_true, got {self.c_true}"
                 )
-            if self.spacing is not None and not self.spacing > 0.0:
-                raise ConfigurationError("spacing must be positive")
+            if self.spacing is not None and not 0.0 < self.spacing < math.inf:
+                raise ConfigurationError("spacing must be positive and finite")
         if self.kind == "uniform":
             if self.domain_box is None:
                 raise ConfigurationError("uniform kind requires domain_box")
@@ -142,51 +142,46 @@ class GeneratorSpec:
         }
 
 
-def _cluster_centers(spec, rng):
+def _components(spec, rng):
+    """``(means, scale)`` of the clusters to draw from: the means, and the
+    standard deviation of the isotropic draws around them, or ``None`` for
+    a general model.  Only the uniform kind draws here, from ``rng``."""
+    if isinstance(spec.model, GeneralGMM):
+        return spec.model.means, None
+    if isinstance(spec.model, IsotropicGMM):
+        return spec.model.means, math.sqrt(spec.model.sigma2)
     if spec.kind == "grid":
         side = math.isqrt(spec.c_true)
         spacing = spec.spacing if spec.spacing is not None else 4.0 * spec.gen_sigma
         grid = np.arange(side, dtype=np.float64) * spacing
         ii, jj = np.meshgrid(grid, grid, indexing="ij")
-        return np.column_stack([ii.ravel(), jj.ravel()])
+        return np.column_stack([ii.ravel(), jj.ravel()]), spec.gen_sigma
     lo = np.array([ax[0] for ax in spec.domain_box])
     hi = np.array([ax[1] for ax in spec.domain_box])
-    return rng.uniform(lo, hi, size=(spec.c_true, len(spec.domain_box)))
+    return rng.uniform(lo, hi, size=(spec.c_true, len(spec.domain_box))), spec.gen_sigma
 
 
 def generate(spec):
-    """Draw a labeled dataset from the spec; identical spec implies identical data."""
+    """Draw a labeled dataset from the spec; identical spec implies identical data.
+
+    One generator draws every cluster's block in cluster order, after the
+    uniform kind's means: ``mean + scale * standard normals`` for the grid,
+    uniform and isotropic explicit kinds, ``multivariate_normal`` for a
+    general model.  Draws that overflow end in ``Dataset``'s finiteness
+    check, a ``ConfigurationError``.
+    """
     rng = make_rng(spec.seed)
-    if spec.kind == "explicit-gmm":
-        return _generate_from_model(spec, rng)
-    centers = _cluster_centers(spec, rng)
-    d = centers.shape[1]
-    blocks = []
-    labels = []
-    for c, center in enumerate(centers):
-        pts = center + spec.gen_sigma * rng.standard_normal((spec.per_cluster_n, d))
-        blocks.append(pts)
-        labels.append(np.full(spec.per_cluster_n, c, dtype=np.int64))
-    return Dataset(np.vstack(blocks), np.concatenate(labels))
-
-
-def _generate_from_model(spec, rng):
-    model = spec.model
-    blocks = []
-    labels = []
-    for c in range(model.c):
-        if isinstance(model, IsotropicGMM):
-            pts = model.means[c] + math.sqrt(model.sigma2) * rng.standard_normal(
-                (spec.per_cluster_n, model.d)
-            )
-        else:
-            pts = rng.multivariate_normal(
-                model.means[c], model.covs[c], size=spec.per_cluster_n,
-                method="cholesky",
-            )
-        blocks.append(pts)
-        labels.append(np.full(spec.per_cluster_n, c, dtype=np.int64))
-    return Dataset(np.vstack(blocks), np.concatenate(labels))
+    n = spec.per_cluster_n
+    with np.errstate(over="ignore", invalid="ignore"):
+        means, scale = _components(spec, rng)
+        blocks = []
+        for c, mean in enumerate(means):
+            if scale is None:
+                block = rng.multivariate_normal(mean, spec.model.covs[c], size=n, method="cholesky")
+            else:
+                block = mean + scale * rng.standard_normal((n, means.shape[1]))
+            blocks.append(block)
+    return Dataset(np.vstack(blocks), np.repeat(np.arange(len(means)), n))
 
 
 def _labels_path(path):

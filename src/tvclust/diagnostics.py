@@ -185,7 +185,7 @@ def appendix_forms(dataset, assignments, means):
     n, d = points.shape
     j = objective_j(points, resp, means)
     j_eff = max(j, d * n * sigma2_floor(points))
-    f = -math.log(means.shape[0]) - 0.5 * d * (_LOG_2PI_E + math.log(j_eff / (d * n)))
+    f = free_energy_kmeans(means.shape[0], d, j_eff / (d * n))
     d2 = squared_distances(points, means)
     gap = 0.5 * d + float(
         np.mean(logsumexp(-(0.5 * d * n) * d2 / j_eff, axis=1))

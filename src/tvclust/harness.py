@@ -109,14 +109,11 @@ def run_experiment(spec):
         dataset = generate(spec.generator)
     else:
         dataset = load_csv(spec.data_path)
-    out_dir = None
     if spec.out_dir is not None:
-        out_dir = Path(spec.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        Path(spec.out_dir).mkdir(parents=True, exist_ok=True)
 
     config = spec.config
-    results = [None] * spec.restarts
-    failures = []
+    successes, failures = [], []
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
         futures = [
             pool.submit(run, dataset, replace(config, seed=restart_seed(config.seed, i)))
@@ -124,17 +121,12 @@ def run_experiment(spec):
         ]
         for i, future in enumerate(futures):
             try:
-                results[i] = future.result()
+                successes.append((i, future.result()))
             except NumericError as exc:
                 failures.append({"restart": i, "error": str(exc)})
 
-    successes = [(i, r) for i, r in enumerate(results) if r is not None]
     if not successes:
         raise NumericError("all restarts failed numerically")
-
-    if out_dir is not None:
-        for i, result in successes:
-            emit(result.trace, out_dir / f"trace_{i:03d}.jsonl")
 
     best_run, best_result = max(successes, key=lambda item: item[1].trace[-1].F)
     traces = [r.trace for _, r in successes]
@@ -152,6 +144,9 @@ def run_experiment(spec):
         "failures": failures,
         "config_echo": spec.to_dict(),
     }
-    if out_dir is not None:
+    if spec.out_dir is not None:
+        out_dir = Path(spec.out_dir)
+        for i, result in successes:
+            emit(result.trace, out_dir / f"trace_{i:03d}.jsonl")
         emit(summary, out_dir / "summary.json")
     return summary

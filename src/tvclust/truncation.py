@@ -73,7 +73,10 @@ def lazy_reassign(d2, epsilon, sets):
     current = sets[:, 0]
     best = np.argmin(d2, axis=1)
     rows = np.arange(n)
-    switch = (1.0 + epsilon) * np.sqrt(d2[rows, best]) < np.sqrt(d2[rows, current])
+    # An infinite or huge epsilon overflows, or gives inf * 0 = NaN at a
+    # point on its centre; neither compares below, so no point switches.
+    with np.errstate(over="ignore", invalid="ignore"):
+        switch = (1.0 + epsilon) * np.sqrt(d2[rows, best]) < np.sqrt(d2[rows, current])
     return np.where(switch, best, current)[:, None]
 
 

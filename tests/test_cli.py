@@ -299,6 +299,31 @@ class TestAudit:
         assert code == EXIT_IO
         assert "parse error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "snapshot,names",
+        [
+            ({"kind": "iso", "means": [[0.0, 0.0]], "sigma2": 1e-320}, "L_at_model_sigma2"),
+            (dict(GENERAL, covs=[[[1e-320, 0.0], [0.0, 1e-320]]]), "F, L, gap"),
+        ],
+        ids=["iso", "general"],
+    )
+    def test_overflowing_bounds_are_numeric_error(self, tmp_path, capsys, snapshot, names):
+        from tvclust.cli import EXIT_NUMERIC
+
+        data = tmp_path / "three.csv"
+        data.write_text("1,2\n3,4\n5,6\n")
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(snapshot))
+        out_path = tmp_path / "audit.json"
+        capsys.readouterr()
+        code = main(["audit", "--data", str(data), "--model", str(model_path),
+                     "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_NUMERIC
+        assert captured.err == f"numeric error: audit values are not finite: {names}\n"
+        assert captured.out == ""
+        assert not out_path.exists()
+
     def test_invalid_model_is_config_error(self, tmp_path):
         data = _generate(tmp_path)
         model_path = tmp_path / "model.json"
@@ -373,6 +398,9 @@ class TestRejectedInputs:
             ("fit_c_exceeds_n", "need 1 <= c <= N, got c=81, N=80"),
             ("generate_bad_box_axis", "bad --gen-box axis '2'; expected lo:hi"),
             ("generate_without_kind", "generate requires --gen-kind"),
+            ("generate_infinite_sigma", "gen_sigma must be positive and finite"),
+            ("generate_overflowing_spacing", "points must be finite"),
+            ("generate_overflowing_sigma", "points must be finite"),
         ],
     )
     def test_config_error_without_traceback(self, tmp_path, capsys, case, words):
@@ -393,6 +421,12 @@ class TestRejectedInputs:
             "generate_bad_box_axis": ["generate", "--gen-kind", "uniform", "--gen-box", "0:1,2",
                                       "--out", out],
             "generate_without_kind": ["generate", "--out", out],
+            "generate_infinite_sigma": ["generate", *self.GRID, "--gen-sigma", "inf",
+                                        "--out", out],
+            "generate_overflowing_spacing": ["generate", "--gen-kind", "grid", "--gen-c-true",
+                                             "9", "--gen-spacing", "1e308", "--out", out],
+            "generate_overflowing_sigma": ["generate", "--gen-kind", "uniform", "--gen-box",
+                                           "0:1", "--gen-sigma", "1e308", "--out", out],
         }[case]
         capsys.readouterr()
         code = main(args)

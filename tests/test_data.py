@@ -156,6 +156,56 @@ class TestGenerate:
             GeneratorSpec(kind="explicit-gmm", c_true=2, per_cluster_n=10)
 
 
+def _iso_model():
+    return IsotropicGMM(np.array([[0.0, 1.0, 2.0], [5.0, -1.0, 1e5]]), 2.0)
+
+
+def _general_model():
+    return GeneralGMM(
+        np.array([0.3, 0.7]),
+        np.array([[0.0, 0.0], [50.0, 0.0]]),
+        np.array([[[1.0, 0.5], [0.5, 1.0]], [[2.0, 0.0], [0.0, 0.5]]]),
+    )
+
+
+def _reference_draw(kind, seed, n):
+    """The draws ``generate`` must make, written out: ``default_rng(seed)``,
+    the uniform kind's means first, then one block per cluster in index
+    order."""
+    rng = np.random.default_rng(seed)
+    if kind == "grid":  # c_true 4, spacing 2.0, gen_sigma 0.5
+        means = np.array([[0.0, 0.0], [0.0, 2.0], [2.0, 0.0], [2.0, 2.0]])
+        blocks = [m + 0.5 * rng.standard_normal((n, 2)) for m in means]
+    elif kind == "uniform":  # c_true 3, box (0, 10) x (1e5, 1e5 + 1), gen_sigma 0.25
+        means = rng.uniform([0.0, 1e5], [10.0, 1e5 + 1.0], size=(3, 2))
+        blocks = [m + 0.25 * rng.standard_normal((n, 2)) for m in means]
+    elif kind == "explicit-iso":
+        model = _iso_model()
+        blocks = [m + math.sqrt(model.sigma2) * rng.standard_normal((n, 3)) for m in model.means]
+    else:
+        model = _general_model()
+        blocks = [rng.multivariate_normal(m, cov, size=n, method="cholesky")
+                  for m, cov in zip(model.means, model.covs)]
+    return np.vstack(blocks), np.repeat(np.arange(len(blocks)), n)
+
+
+@pytest.mark.parametrize("kind", ["grid", "uniform", "explicit-iso", "explicit-general"])
+@pytest.mark.parametrize("seed", [0, 17])
+def test_generate_makes_the_reference_draws(kind, seed):
+    n = 7
+    spec = {
+        "grid": dict(kind="grid", c_true=4, spacing=2.0, gen_sigma=0.5),
+        "uniform": dict(kind="uniform", c_true=3, gen_sigma=0.25,
+                        domain_box=((0.0, 10.0), (1e5, 1e5 + 1.0))),
+        "explicit-iso": dict(kind="explicit-gmm", c_true=2, model=_iso_model()),
+        "explicit-general": dict(kind="explicit-gmm", c_true=2, model=_general_model()),
+    }[kind]
+    ds = generate(GeneratorSpec(per_cluster_n=n, seed=seed, **spec))
+    points, labels = _reference_draw(kind, seed, n)
+    assert np.array_equal(ds.points, points)
+    assert np.array_equal(ds.labels, labels)
+
+
 class TestCsv:
     def test_round_trip_identity(self, tmp_path, four_points):
         path = tmp_path / "data.csv"

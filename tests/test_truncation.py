@@ -107,6 +107,13 @@ class TestLazyReassign:
         with pytest.raises(ConfigurationError):
             lazy_reassign(squared_distances(points, means), float("nan"), np.array([[1], [0]]))
 
+    @pytest.mark.parametrize("epsilon", [math.inf, 1e308])
+    def test_huge_epsilon_keeps_every_set(self, epsilon):
+        # row 0 sits on its centre (inf * 0 = NaN); row 1's factor overflows
+        d2 = np.array([[0.0, 4.0], [16.0, 9.0]])
+        sets = np.array([[0], [0]])
+        assert lazy_reassign(d2, epsilon, sets).tolist() == [[0], [0]]
+
 
 class TestSigmaPiScore:
     def test_variance_and_weight_aware_selection(self):
