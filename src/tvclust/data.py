@@ -79,6 +79,9 @@ class GeneratorSpec:
       * ``uniform``: centers drawn uniformly inside ``domain_box``.
       * ``explicit-gmm``: per_cluster_n draws from each component of an
         explicitly supplied mixture ``model``.
+
+    ``spacing``, ``domain_box`` and ``model`` are read by one kind each;
+    giving one to another kind is a ``ConfigurationError``.
     """
 
     kind: str
@@ -101,6 +104,9 @@ class GeneratorSpec:
             raise ConfigurationError("gen_sigma must be positive and finite")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        for name, kind in (("spacing", "grid"), ("domain_box", "uniform"), ("model", "explicit-gmm")):
+            if getattr(self, name) is not None and self.kind != kind:
+                raise ConfigurationError(f"{self.kind} kind does not take {name}")
         if self.kind == "grid":
             side = math.isqrt(self.c_true)
             if side * side != self.c_true:
@@ -194,13 +200,12 @@ def save_csv(dataset, path):
     When labels are present they go to a sibling ``<path>.labels`` file,
     one integer per line.
     """
-    lines = [
-        ",".join(repr(float(v)) for v in row) for row in np.asarray(dataset.points)
-    ]
+    rows = np.asarray(dataset.points, dtype=np.float64).tolist()
+    lines = [",".join(map(repr, row)) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     if dataset.labels is not None:
         _labels_path(path).write_text(
-            "\n".join(str(int(v)) for v in dataset.labels) + "\n",
+            "\n".join(map(str, np.asarray(dataset.labels).tolist())) + "\n",
             encoding="utf-8",
             newline="\n",
         )
@@ -219,8 +224,42 @@ def _parse_row(cells, lineno):
     return values
 
 
+_LINES = 1024  # lines per block of load_csv
+
+
+def _parse_block(lines, lineno, width):
+    """The rows ``lines``, the first at file line ``lineno``, as a
+    (len(lines), width) array.
+
+    One ``float`` pass reads the block's joined cells.  Only a block that
+    fails the width, parse or finiteness check runs the row loop, which
+    raises the ``ParseError`` of its first bad line.
+    """
+    try:
+        if all(line.count(",") == width - 1 for line in lines):
+            cells = ",".join(lines).split(",")
+            values = np.fromiter(map(float, cells), np.float64, len(cells))
+            if np.isfinite(values).all():
+                return values.reshape(len(lines), width)
+    except ValueError:
+        pass
+    rows = []
+    for i, line in enumerate(lines, lineno):
+        cells = line.split(",")
+        if len(cells) != width:
+            raise ParseError(f"line {i}: expected {width} fields, got {len(cells)}")
+        rows.append(_parse_row(cells, i))
+    return np.array(rows, dtype=np.float64)
+
+
 def load_csv(path):
-    """Parse a CSV of points; a non-numeric first row is treated as a header."""
+    """Parse a CSV of points; a first row that is not all finite numbers is
+    treated as a header.
+
+    The rows are parsed ``_LINES`` at a time (``_parse_block``) into one
+    preallocated (N, D) array, so at most one block's cell strings are held
+    at once.  Every ``ParseError`` names the first bad line.
+    """
     text = Path(path).read_text(encoding="utf-8")
     lines = text.split("\n")
     while lines and lines[-1] == "":
@@ -228,22 +267,17 @@ def load_csv(path):
     if not lines:
         raise ParseError("line 1: empty file")
     start = 0
-    first_cells = lines[0].split(",")
     try:
-        _parse_row(first_cells, 1)
+        _parse_row(lines[0].split(","), 1)
     except ParseError:
         start = 1  # header row
     if start >= len(lines):
         raise ParseError("line 2: no data rows after header")
     width = len(lines[start].split(","))
-    rows = []
-    for i in range(start, len(lines)):
-        cells = lines[i].split(",")
-        if len(cells) != width:
-            raise ParseError(
-                f"line {i + 1}: expected {width} fields, got {len(cells)}"
-            )
-        rows.append(_parse_row(cells, i + 1))
+    points = np.empty((len(lines) - start, width))
+    for i in range(start, len(lines), _LINES):
+        block = lines[i : i + _LINES]
+        points[i - start : i - start + len(block)] = _parse_block(block, i + 1, width)
     labels = None
     lpath = _labels_path(path)
     if lpath.exists():
@@ -252,8 +286,8 @@ def load_csv(path):
             labels = np.array([int(v) for v in raw], dtype=np.int64)
         except ValueError as exc:
             raise ParseError(f"labels file {lpath}: {exc}") from None
-        if labels.shape[0] != len(rows):
+        if labels.shape[0] != points.shape[0]:
             raise ParseError(
-                f"labels file {lpath}: {labels.shape[0]} labels for {len(rows)} points"
+                f"labels file {lpath}: {labels.shape[0]} labels for {points.shape[0]} points"
             )
-    return Dataset(np.asarray(rows, dtype=np.float64), labels)
+    return Dataset(points, labels)

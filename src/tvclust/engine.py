@@ -28,6 +28,11 @@ posteriors each builds once.  It alone decides which clusters are empty
 points.  ``m_step_general`` adds only what the general family has of its
 own: the other clusters' scatter covariances, their ridge, the mixing
 weights, and the covariance and weight of each revived empty cluster.
+Following the paper's claim (B), a truncated posterior touches only the C'
+clusters of each point's set, so a scatter over a support narrower than C
+sums only the rows whose set holds the cluster, O(N C' D^2); a support of
+width C keeps the dense per-cluster ``einsum`` whose summation order a
+golden trace pins.
 ``_shared_variance`` is sigma2 = J/(D N) for the seeded model and for
 ``m_step_iso``.
 
@@ -194,6 +199,16 @@ def seed_dsquared(dataset, c, rng, initial=None):
 _BLOCK = 256  # rows per block of the M-steps' weighted sums
 
 
+def _blocked_tdot(a, b):
+    """``a.T @ b`` as the sum of the products of fixed blocks of ``_BLOCK``
+    rows, added in block order, so it does not depend on the BLAS thread
+    count."""
+    out = a[:_BLOCK].T @ b[:_BLOCK]
+    for i in range(_BLOCK, a.shape[0], _BLOCK):
+        out += a[i : i + _BLOCK].T @ b[i : i + _BLOCK]
+    return out
+
+
 def _worst_fit(points, resp, means, empty):
     """Move the ``empty`` clusters' means, in place, onto worst-fit points.
 
@@ -218,19 +233,16 @@ def _weighted_means(points, resp, w):
 
     ``w`` is ``resp.dense()``.  ``mass`` holds each cluster's summed
     posteriors and ``means`` the posterior-weighted averages of the points.
-    The weighted sums add the BLAS products ``w.T @ y`` of fixed blocks of
-    ``_BLOCK`` rows in block order, so the means do not depend on the BLAS
-    thread count.  A cluster is empty when its mass is below the smallest
-    normal float: a subnormal mass keeps too few significant bits to carry
-    a mean or a covariance.  ``empty`` lists those clusters, which
+    The weighted sums are ``_blocked_tdot(w, points)``, so the means do not
+    depend on the BLAS thread count.  A cluster is empty when its mass is
+    below the smallest normal float: a subnormal mass keeps too few
+    significant bits to carry a mean or a covariance.  ``empty`` lists those clusters, which
     ``_worst_fit`` reseeds, one event each.  Their posteriors sum to less
     than that float, so the isotropic models' recorded free energy cannot
     visibly move.
     """
     mass = w.sum(axis=0)
-    wsum = w[:_BLOCK].T @ points[:_BLOCK]
-    for i in range(_BLOCK, points.shape[0], _BLOCK):
-        wsum += w[i : i + _BLOCK].T @ points[i : i + _BLOCK]
+    wsum = _blocked_tdot(w, points)
     kept = mass >= np.finfo(float).tiny
     means = np.zeros_like(wsum)
     means[kept] = wsum[kept] / mass[kept, None]
@@ -273,15 +285,37 @@ def m_step_general(dataset, resp, prev):
     with its covariance from ``prev`` and weight 1/N (other weights
     rescaled); unlike the isotropic reseed this can lower the recorded free
     energy, so the event is always traced.
+
+    A support narrower than C (sigma_pi's singletons) costs O(N C' D^2):
+    each cluster's scatter sums only the rows whose support holds it, as
+    ``_blocked_tdot`` products in ascending row order, and one stable sort
+    of the support groups the rows by cluster.  A support of width C (exact
+    EM) keeps one dense ``einsum`` per cluster over all N rows, because
+    ``tests/golden/dup_em_gmm.jsonl`` pins that summation order: on its
+    duplicate-heavy data the blocked products move F by more than the
+    fixture's tolerance.
     """
     points = _points_of(dataset)
     n, d = points.shape
     w = resp.dense()
     mass, means, empty, events = _weighted_means(points, resp, w)
     covs = np.zeros((resp.n_clusters, d, d))
-    for k in np.delete(np.arange(resp.n_clusters), empty):
-        diff = points - means[k]
-        covs[k] = np.einsum("nd,ne->de", w[:, k, None] * diff, diff) / mass[k]
+    kept = np.delete(np.arange(resp.n_clusters), empty)
+    width = resp.support.shape[1]
+    if width == resp.n_clusters:
+        for k in kept:
+            diff = points - means[k]
+            covs[k] = np.einsum("nd,ne->de", w[:, k, None] * diff, diff) / mass[k]
+    else:
+        # The support's entries grouped by cluster, rows ascending in each.
+        order = np.argsort(resp.support, axis=None, kind="stable")
+        rows = order // width
+        q = resp.weights.ravel()[order]
+        ends = np.cumsum(np.bincount(resp.support.ravel(), minlength=resp.n_clusters))
+        for k in kept:
+            at = slice(ends[k - 1] if k else 0, ends[k])
+            diff = points[rows[at]] - means[k]
+            covs[k] = _blocked_tdot(q[at, None] * diff, diff) / mass[k]
     covs = 0.5 * (covs + np.transpose(covs, (0, 2, 1)))
     covs = regularize_covariances(covs)
     weights = mass / n

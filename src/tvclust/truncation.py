@@ -36,21 +36,30 @@ def select_nearest(d2, c_prime):
     model over all admissible truncation configurations, or
     ``sigma_pi_scores(lj)`` for the general model.  Returns an owned
     (N, C') matrix, lowest first, ties toward the smaller index: the first
-    C' columns of a stable argsort of ``d2``.  The fast unstable argsort is
-    used instead, and only rows with a tie among their C' + 1 lowest are
-    sorted stably again.
+    C' columns of a stable argsort of ``d2``.  It is built by C' passes of
+    ``argmin``, which returns the first minimum, each masking its pick to
+    ``inf`` in a copy.  A row whose pick is not finite (fewer than C'
+    finite entries, or a NaN) could pick a masked column again, so such
+    rows are sorted stably instead.
     """
     c = d2.shape[1]
     if not 1 <= c_prime <= c:
         raise ConfigurationError(f"c_prime must be in [1, {c}], got {c_prime}")
     if c_prime == 1:
         return np.argmin(d2, axis=1)[:, None]
-    order = np.argsort(d2, axis=1)[:, : c_prime + 1]
-    top = np.take_along_axis(d2, order, axis=1)
-    tied = np.flatnonzero(np.any(top[:, 1:] == top[:, :-1], axis=1))
-    if tied.size:
-        order[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, : c_prime + 1]
-    return order[:, :c_prime].copy()
+    work = np.array(d2, dtype=np.float64)
+    rows = np.arange(work.shape[0])
+    order = np.empty((work.shape[0], c_prime), dtype=np.int64)
+    finite = np.ones(work.shape[0], dtype=bool)
+    for j in range(c_prime):
+        col = np.argmin(work, axis=1)
+        finite &= np.isfinite(work[rows, col])
+        work[rows, col] = np.inf
+        order[:, j] = col
+    redo = np.flatnonzero(~finite)
+    if redo.size:
+        order[redo] = np.argsort(d2[redo], axis=1, kind="stable")[:, :c_prime]
+    return order
 
 
 def lazy_reassign(d2, epsilon, sets):

@@ -401,6 +401,8 @@ class TestRejectedInputs:
             ("generate_infinite_sigma", "gen_sigma must be positive and finite"),
             ("generate_overflowing_spacing", "points must be finite"),
             ("generate_overflowing_sigma", "points must be finite"),
+            ("generate_grid_with_box", "grid kind does not take domain_box"),
+            ("generate_uniform_with_spacing", "uniform kind does not take spacing"),
         ],
     )
     def test_config_error_without_traceback(self, tmp_path, capsys, case, words):
@@ -427,6 +429,10 @@ class TestRejectedInputs:
                                              "9", "--gen-spacing", "1e308", "--out", out],
             "generate_overflowing_sigma": ["generate", "--gen-kind", "uniform", "--gen-box",
                                            "0:1", "--gen-sigma", "1e308", "--out", out],
+            "generate_grid_with_box": ["generate", *self.GRID, "--gen-per-cluster-n", "5",
+                                       "--gen-box", "0:1", "--out", out],
+            "generate_uniform_with_spacing": ["generate", "--gen-kind", "uniform", "--gen-box",
+                                              "0:1", "--gen-spacing", "3", "--out", out],
         }[case]
         capsys.readouterr()
         code = main(args)

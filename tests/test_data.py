@@ -290,6 +290,119 @@ class TestCsv:
         assert np.array_equal(back.points, ds.points)
 
 
+def _row_loop_points(path):
+    """The reference reader ``load_csv`` must agree with: the whole file,
+    line by line, each line's width checked and then its cells parsed in
+    order, raising on the first bad line."""
+    lines = path.read_text(encoding="utf-8").split("\n")
+    while lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise ParseError("line 1: empty file")
+
+    def row(line, lineno):
+        values = []
+        for cell in line.split(","):
+            try:
+                v = float(cell)
+            except ValueError:
+                raise ParseError(f"line {lineno}: non-numeric value {cell.strip()!r}") from None
+            if not math.isfinite(v):
+                raise ParseError(f"line {lineno}: non-finite value {cell.strip()!r}")
+            values.append(v)
+        return values
+
+    try:
+        row(lines[0], 1)
+        start = 0
+    except ParseError:
+        start = 1
+    if start >= len(lines):
+        raise ParseError("line 2: no data rows after header")
+    width = len(lines[start].split(","))
+    rows = []
+    for i in range(start, len(lines)):
+        got = len(lines[i].split(","))
+        if got != width:
+            raise ParseError(f"line {i + 1}: expected {width} fields, got {got}")
+        rows.append(row(lines[i], i + 1))
+    return np.array(rows, dtype=np.float64)
+
+
+# id -> (width, rows, {file line: replacement text}, line ending, message or
+# None for a file that parses).  Blocks are 1024 lines: line 1500 is in the
+# second block, line 2049 starts the third.
+_CSV_CASES = {
+    "bad_cell_second_block": (3, 2500, {1500: "1.0,abc,2.0"}, "\n",
+                              "line 1500: non-numeric value 'abc'"),
+    "blank_line_mid_file": (3, 2500, {1100: ""}, "\n", "line 1100: expected 3 fields, got 1"),
+    "ragged_after_1024": (3, 2500, {1030: "1,2,3,4"}, "\n", "line 1030: expected 3 fields, got 4"),
+    "parse_error_before_ragged": (3, 2500, {1500: "x,1,2", 1600: "1,2"}, "\n",
+                                  "line 1500: non-numeric value 'x'"),
+    "ragged_before_parse_error": (3, 2500, {2049: "1,2", 2050: "x,1,2"}, "\n",
+                                  "line 2049: expected 3 fields, got 2"),
+    "nan_cell": (3, 2500, {1200: "nan,1,2"}, "\n", "line 1200: non-finite value 'nan'"),
+    "inf_cell_first_block": (3, 2500, {7: "1, -inf ,2"}, "\n", "line 7: non-finite value '-inf'"),
+    "overflowing_cell": (3, 2500, {2100: "1,2,1e400"}, "\n", "line 2100: non-finite value '1e400'"),
+    "crlf": (3, 2500, {}, "\r\n", None),
+    "crlf_bad_cell": (3, 2500, {1500: "1,oops,2"}, "\r\n", "line 1500: non-numeric value 'oops'"),
+    "crlf_ragged": (3, 2500, {2000: "1,2"}, "\r\n", "line 2000: expected 3 fields, got 2"),
+    "nan_first_row_is_header": (2, 1500, {1: "nan,nan"}, "\n", None),
+    "whitespace_and_signs": (3, 1100, {5: " +1.5 ,\t-0.0,1_000", 1030: "1e-320,  2 ,3e5"}, "\n", None),
+    "whole_blocks": (2, 2048, {}, "\n", None),
+    "width1": (1, 2500, {}, "\n", None),
+    "width1_bad_cell": (1, 2500, {1500: "abc"}, "\n", "line 1500: non-numeric value 'abc'"),
+    "width1_blank_line": (1, 2500, {1100: ""}, "\n", "line 1100: non-numeric value ''"),
+    "width1_inf": (1, 2500, {2400: "inf"}, "\n", "line 2400: non-finite value 'inf'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CSV_CASES))
+def test_block_reader_matches_row_loop(case, tmp_path):
+    width, n, edits, eol, message = _CSV_CASES[case]
+    rng = np.random.default_rng(len(case))
+    lines = [",".join(map(repr, row)) for row in (1e3 * rng.normal(size=(n, width))).tolist()]
+    for lineno, text in edits.items():
+        lines[lineno - 1] = text
+    path = tmp_path / "d.csv"
+    path.write_bytes((eol.join(lines) + eol).encode("utf-8"))
+    if message is None:
+        assert np.array_equal(load_csv(path).points, _row_loop_points(path))
+        return
+    for reader in (load_csv, _row_loop_points):
+        with pytest.raises(ParseError) as err:
+            reader(path)
+        assert str(err.value) == message
+
+
+def test_block_reader_skips_the_row_loop_on_good_blocks(tmp_path, monkeypatch):
+    import tvclust.data
+
+    calls = []
+    row = tvclust.data._parse_row
+    monkeypatch.setattr(tvclust.data, "_parse_row", lambda *a: calls.append(a) or row(*a))
+    path = tmp_path / "d.csv"
+    save_csv(Dataset(np.arange(6000.0).reshape(3000, 2)), path)
+    assert load_csv(path).n == 3000
+    assert len(calls) == 1  # the header test of line 1
+
+
+@pytest.mark.parametrize(
+    "kind,field",
+    [("grid", "domain_box"), ("grid", "model"), ("uniform", "spacing"), ("uniform", "model"),
+     ("explicit-gmm", "spacing"), ("explicit-gmm", "domain_box")],
+)
+def test_kind_rejects_a_field_it_does_not_read(kind, field):
+    fields = {
+        "grid": {"c_true": 4},
+        "uniform": {"c_true": 4, "domain_box": ((0.0, 1.0), (0.0, 1.0))},
+        "explicit-gmm": {"c_true": 2, "model": _iso_model()},
+    }[kind]
+    fields[field] = {"spacing": 3.0, "domain_box": ((0.0, 1.0),), "model": _iso_model()}[field]
+    with pytest.raises(ConfigurationError, match=f"{kind} kind does not take {field}"):
+        GeneratorSpec(kind=kind, per_cluster_n=5, **fields)
+
+
 def test_uniform_empty_box_axis_rejected():
     with pytest.raises(ConfigurationError):
         GeneratorSpec(

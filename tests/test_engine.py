@@ -33,7 +33,7 @@ from tvclust import (
     tvem_step,
 )
 from tvclust.data import GeneratorSpec, generate
-from tvclust.models import COV_RIDGE
+from tvclust.models import COV_RIDGE, regularize_covariances
 
 from conftest import blob_dataset, count_calls
 
@@ -227,6 +227,28 @@ class TestMStepGeneral:
         assert np.array_equal(
             m_step_general(ds, resp, gen)[0].means, m_step_iso(ds, resp)[0].means
         )
+
+    @pytest.mark.parametrize("c_prime", [1, 2])
+    def test_support_only_scatter_matches_dense(self, c_prime):
+        # 640 points around cluster 0 put its rows in three 256-row blocks;
+        # at an offset of 1e3 a changed summation order shows in the bits
+        rng = np.random.default_rng(11)
+        centres = 1e3 + np.array([[0.0, 0.0, 0.0], [6.0, 6.0, 6.0], [0.0, 6.0, 0.0]])
+        points = np.vstack([c + rng.normal(size=(m, 3)) for c, m in zip(centres, (640, 90, 70))])
+        gen = GeneralGMM(np.full(3, 1.0 / 3.0), centres, np.broadcast_to(np.eye(3), (3, 3, 3)).copy())
+        lj = log_joints(points, gen)
+        resp = truncated_responsibilities(lj, select_nearest(sigma_pi_scores(lj), c_prime))
+        assert np.count_nonzero(resp.support == 0) > 2 * 256
+        model, events = m_step_general(points, resp, gen)
+        # the dense reference: one einsum per cluster over all N rows
+        w = resp.dense()
+        want = np.empty((3, 3, 3))
+        for k in range(3):
+            diff = points - model.means[k]
+            want[k] = np.einsum("nd,ne->de", w[:, k, None] * diff, diff) / w[:, k].sum()
+        want = regularize_covariances(0.5 * (want + np.transpose(want, (0, 2, 1))))
+        assert events == []
+        assert np.max(np.abs(model.covs - want) / np.abs(want).max(axis=(1, 2))[:, None, None]) <= 1e-12
 
 
 class TestGeneralRevival:

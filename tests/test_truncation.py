@@ -334,3 +334,20 @@ class TestNearestSelectionOptimality:
         chosen = free_energy_trunc(lj, select_nearest(squared_distances(points, means), 2))
         assert chosen == pytest.approx(best, abs=1e-12)
         assert chosen >= best - 1e-12
+
+
+@pytest.mark.parametrize("c_prime", [2, 3, 6])
+def test_select_nearest_rows_holding_inf(c_prime):
+    # a masked column reads inf as well: a row with fewer than C' finite
+    # entries still gets C' distinct columns, in stable-argsort order
+    rng = np.random.default_rng(9)
+    d2 = rng.integers(0, 3, size=(200, 6)).astype(float)
+    d2[rng.random(d2.shape) < 0.4] = np.inf
+    d2[0] = np.inf
+    d2[1] = [np.inf, 1.0, np.inf, np.inf, np.inf, np.inf]
+    d2[2, 3] = np.nan
+    before = d2.copy()
+    got = select_nearest(d2, c_prime)
+    assert np.array_equal(got, np.argsort(d2, axis=1, kind="stable")[:, :c_prime])
+    assert all(len(set(row)) == c_prime for row in got.tolist())
+    assert np.array_equal(d2, before, equal_nan=True)
