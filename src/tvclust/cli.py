@@ -55,8 +55,8 @@ def _parse_box(text):
 
 def _add_generator_args(parser):
     parser.add_argument("--gen-kind", choices=("grid", "uniform"))
-    parser.add_argument("--gen-c-true", type=int, default=25)
-    parser.add_argument("--gen-per-cluster-n", type=int, default=100)
+    parser.add_argument("--gen-c-true", type=int)
+    parser.add_argument("--gen-per-cluster-n", type=int)
     parser.add_argument("--gen-sigma", type=float)
     parser.add_argument("--gen-spacing", type=float)
     parser.add_argument("--gen-box", type=str,
@@ -69,8 +69,15 @@ def _given(**values):
     return {name: value for name, value in values.items() if value is not None}
 
 
+# The generator flags after --gen-kind, as ``args`` attributes.
+_GEN_FLAGS = ("gen_c_true", "gen_per_cluster_n", "gen_sigma", "gen_spacing", "gen_box", "gen_seed")
+
+
 def _generator_spec(args):
-    return GeneratorSpec(**_given(
+    """The spec of the generator flags given; the cluster count and size
+    default to 25 and 100 here, not in argparse, so that ``experiment``
+    can tell a flag given with ``--data``."""
+    return GeneratorSpec(**{"c_true": 25, "per_cluster_n": 100, **_given(
         kind=args.gen_kind,
         c_true=args.gen_c_true,
         per_cluster_n=args.gen_per_cluster_n,
@@ -78,7 +85,7 @@ def _generator_spec(args):
         spacing=args.gen_spacing,
         domain_box=None if args.gen_box is None else _parse_box(args.gen_box),
         seed=args.gen_seed,
-    ))
+    )})
 
 
 def _add_run_args(parser):
@@ -136,6 +143,10 @@ def _cmd_experiment(args):
         raise ConfigurationError(
             "experiment requires exactly one of --data or --gen-kind"
         )
+    given = [name for name in _GEN_FLAGS if getattr(args, name) is not None]
+    if args.data is not None and given:
+        flags = ", ".join("--" + name.replace("_", "-") for name in given)
+        raise ConfigurationError(f"experiment with --data does not take {flags}")
     spec = ExperimentSpec(
         config=_run_config(args),
         restarts=args.restarts,

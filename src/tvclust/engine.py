@@ -14,11 +14,12 @@ takes; the algorithm name is looked up nowhere else:
 
 k-means still updates the shared variance each iteration; it never feeds
 back into the mean path, whose updates are variance-independent for
-singleton sets.  All five kernels return ``(resp, model|means, events)``:
-the posteriors, whose ``resp.support`` is K^(n), the new model (means for
-``kmeans_step``) and any reseed events.  Every kernel but ``kmeans_step``
-is ``_e_step`` of its rule followed by its family's M-step; both M-steps
-return ``(model, events)``.
+singleton sets.  Both M-steps return ``(model, events, J)``: the new
+model, any reseed events and the J of the posteriors around the new means.
+Every kernel but ``kmeans_step`` is ``_e_step`` of its rule followed by its
+family's M-step and returns ``(resp, model, events, J)``, where
+``resp.support`` is K^(n); ``kmeans_step``, the variance-free Lloyd
+reference, returns ``(resp, means, events)``.
 
 In the M-step each mean is the posterior-weighted average of the data for
 both families, so one routine, ``_weighted_means``, computes it for
@@ -34,14 +35,17 @@ sums only the rows whose set holds the cluster, O(N C' D^2); a support of
 width C keeps the dense per-cluster ``einsum`` whose summation order a
 golden trace pins.
 ``_shared_variance`` is sigma2 = J/(D N) for the seeded model and for
-``m_step_iso``.
+``m_step_iso``, whose J is ``objective_j``.  ``m_step_general`` takes J
+from the scatter sums it builds anyway, J = sum_k tr(sum_n q_nk (y_n -
+mu_k)(y_n - mu_k)^T), the direct-difference form of the same sum.
 
 Each iteration of ``run`` builds its matrices once (``_matrices``): the
 log-joints, plus the squared distances they come from for the isotropic
 family.  The trace record of iteration t builds them for the new model;
 the E-step of iteration t + 1 reads only that pair and hands its
 posteriors to ``tvem_step``, which runs the M-step of the model's family.
-Iteration 1 uses the initial state's posteriors.
+Iteration 1 uses the initial state's posteriors.  The record's J is the
+one the M-step returned; only the initial record calls ``objective_j``.
 
 A run converges once the truncation sets (or hard shadow labels for exact
 EM) stop changing and the largest relative parameter change drops below
@@ -250,15 +254,11 @@ def _weighted_means(points, resp, w):
     return mass, means, empty, _worst_fit(points, resp, means, empty)
 
 
-def _shared_variance(dataset, assignments, means):
-    """sigma2 = J/(D N), clamped at the data-derived floor.
-
-    J is ``objective_j`` of ``assignments`` (labels or posteriors) around
-    ``means``.  Raises ``NumericError`` if J overflows.
-    """
-    points = _points_of(dataset)
-    n, d = points.shape
-    sigma2 = max(objective_j(points, assignments, means) / (d * n), sigma2_floor(dataset))
+def _shared_variance(dataset, j):
+    """sigma2 = J/(D N), clamped at the data-derived floor.  Raises
+    ``NumericError`` if J overflows."""
+    n, d = _points_of(dataset).shape
+    sigma2 = max(j / (d * n), sigma2_floor(dataset))
     if not np.isfinite(sigma2):
         raise NumericError(f"sigma2 {sigma2} is not finite (overflow)")
     return sigma2
@@ -268,11 +268,13 @@ def m_step_iso(dataset, resp):
     """Weighted mean update, then the shared-variance update with new means.
 
     sigma2 = (1/(D N)) sum_n sum_c q_c^(n) |y^(n) - mu_c^new|^2 = J/(D N),
-    clamped at the data-derived floor.  Returns the model and any reseed
-    events.
+    clamped at the data-derived floor, with J from ``objective_j``.
+    Returns the model, any reseed events and J.
     """
-    _, means, _, events = _weighted_means(_points_of(dataset), resp, resp.dense())
-    return IsotropicGMM(means, _shared_variance(dataset, resp, means)), events
+    points = _points_of(dataset)
+    _, means, _, events = _weighted_means(points, resp, resp.dense())
+    j = objective_j(points, resp, means)
+    return IsotropicGMM(means, _shared_variance(dataset, j)), events, j
 
 
 def m_step_general(dataset, resp, prev):
@@ -280,11 +282,13 @@ def m_step_general(dataset, resp, prev):
 
     The means, and the set of empty clusters with their reseeded means,
     come from ``_weighted_means``, as for the isotropic family.  The other
-    clusters' covariances are normalized by responsibility mass,
-    symmetrized, and ridge-regularized once.  An empty cluster is revived
-    with its covariance from ``prev`` and weight 1/N (other weights
-    rescaled); unlike the isotropic reseed this can lower the recorded free
-    energy, so the event is always traced.
+    clusters' scatter sums S_k = sum_n q_nk (y_n - mu_k)(y_n - mu_k)^T give
+    J = sum_k tr(S_k); their covariances are S_k normalized by
+    responsibility mass, symmetrized, and ridge-regularized once.  An empty
+    cluster is revived with its covariance from ``prev`` and weight 1/N
+    (other weights rescaled); unlike the isotropic reseed this can lower
+    the recorded free energy, so the event is always traced.  Returns the
+    model, any revival events and J.
 
     A support narrower than C (sigma_pi's singletons) costs O(N C' D^2):
     each cluster's scatter sums only the rows whose support holds it, as
@@ -293,7 +297,9 @@ def m_step_general(dataset, resp, prev):
     EM) keeps one dense ``einsum`` per cluster over all N rows, because
     ``tests/golden/dup_em_gmm.jsonl`` pins that summation order: on its
     duplicate-heavy data the blocked products move F by more than the
-    fixture's tolerance.
+    fixture's tolerance.  The einsum reads the residuals and their weighted
+    copy from two buffers reused across clusters, each cluster's weights
+    from one contiguous row of the transposed posteriors.
     """
     points = _points_of(dataset)
     n, d = points.shape
@@ -303,9 +309,14 @@ def m_step_general(dataset, resp, prev):
     kept = np.delete(np.arange(resp.n_clusters), empty)
     width = resp.support.shape[1]
     if width == resp.n_clusters:
+        wt = np.ascontiguousarray(w.T)
+        del w  # its transposed copy replaces it
+        diff = np.empty_like(points)
+        wdiff = np.empty_like(points)
         for k in kept:
-            diff = points - means[k]
-            covs[k] = np.einsum("nd,ne->de", w[:, k, None] * diff, diff) / mass[k]
+            np.subtract(points, means[k], out=diff)
+            np.multiply(wt[k, :, None], diff, out=wdiff)
+            covs[k] = np.einsum("nd,ne->de", wdiff, diff)
     else:
         # The support's entries grouped by cluster, rows ascending in each.
         order = np.argsort(resp.support, axis=None, kind="stable")
@@ -315,7 +326,9 @@ def m_step_general(dataset, resp, prev):
         for k in kept:
             at = slice(ends[k - 1] if k else 0, ends[k])
             diff = points[rows[at]] - means[k]
-            covs[k] = _blocked_tdot(q[at, None] * diff, diff) / mass[k]
+            covs[k] = _blocked_tdot(q[at, None] * diff, diff)
+    j = float(np.trace(covs, axis1=1, axis2=2).sum())
+    covs[kept] /= mass[kept, None, None]
     covs = 0.5 * (covs + np.transpose(covs, (0, 2, 1)))
     covs = regularize_covariances(covs)
     weights = mass / n
@@ -325,7 +338,7 @@ def m_step_general(dataset, resp, prev):
         weights = weights * (1.0 - empty.size / n)
         weights[empty] = 1.0 / n
         weights = weights / weights.sum()
-    return GeneralGMM(weights, means, covs), events
+    return GeneralGMM(weights, means, covs), events, j
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +368,9 @@ def tvem_step(dataset, model, c_prime, resp=None):
     the covariance ridge of a singular but nonzero scatter lowers it with no
     event (``run`` does not take that path).  With c_prime = 1 the mean path
     coincides with ``kmeans_step``; with c_prime = C it is one exact EM
-    iteration for the isotropic model.  Given this iteration's posteriors as ``resp`` (``run``
-    passes them for every algorithm), it runs only the M-step.
+    iteration for the isotropic model.  Given this iteration's posteriors
+    as ``resp`` (``run`` passes them for every algorithm), it runs only the
+    M-step.  Returns ``(resp, model, events, J)``.
     """
     if resp is None:
         resp = _e_step("nearest", *_matrices(dataset, model), c_prime, None, None)
@@ -431,10 +445,16 @@ def _e_step(rule, d2, lj, c_prime, epsilon, last):
     return truncated_responsibilities(lj, sets)
 
 
-def _record(iteration, dataset, model, rule, resp, lj, n_changed, events):
-    points = _points_of(dataset)
-    n, d = points.shape
-    j = objective_j(points, resp, model.means)
+def _record(iteration, dataset, model, rule, resp, lj, j, n_changed, events):
+    """The trace record of ``model`` and the posteriors ``resp`` that made
+    it, with ``lj`` the log-joints at ``model``.
+
+    ``j`` is the J of ``resp`` around the model's means that the M-step
+    returned: ``objective_j`` for the isotropic family, and
+    sum_k tr(sum_n q_nk (y_n - mu_k)(y_n - mu_k)^T) of the scatter sums for
+    the general one, whose record reports sigma2 = J/(D N).
+    """
+    n, d = _points_of(dataset).shape
     ll = log_likelihood(lj)
     f = ll if rule == "full" else free_energy_trunc(lj, resp)  # support is arange(C): F is L
     return TraceRecord(
@@ -455,7 +475,7 @@ def _initial_state(dataset, config, rng):
     means0 = seed(dataset, config.c, rng)
     d2 = squared_distances(dataset, means0)
     nearest1 = select_nearest(d2, 1)
-    sigma2_0 = _shared_variance(dataset, nearest1[:, 0], means0)
+    sigma2_0 = _shared_variance(dataset, objective_j(dataset, nearest1[:, 0], means0))
     rule, family, _ = _PAIRS[config.algorithm]
     if family == "iso":
         model = IsotropicGMM(means0, sigma2_0)
@@ -489,7 +509,8 @@ def run(dataset, config):
     rule = _PAIRS[config.algorithm][0]
     model, d2, lj, resp = _initial_state(dataset, config, rng)
     key = _set_key(resp, rule)
-    trace = [_record(0, dataset, model, rule, resp, lj, dataset.n, [])]
+    j = objective_j(dataset, resp, model.means)
+    trace = [_record(0, dataset, model, rule, resp, lj, j, dataset.n, [])]
     reason = "max_iters"
     new_resp = resp
     for it in range(1, config.max_iters + 1):
@@ -497,13 +518,13 @@ def run(dataset, config):
             if it > 1:
                 new_resp = _e_step(rule, d2, lj, config.c_prime, config.epsilon, resp)
             d2 = lj = None  # their last reader was the E-step; free them
-            _, new_model, events = tvem_step(dataset, model, config.c_prime, new_resp)
+            _, new_model, events, j = tvem_step(dataset, model, config.c_prime, new_resp)
             new_key = _set_key(new_resp, rule)
             n_changed = int(np.sum(np.any(key != new_key, axis=1)))
             rel = _rel_change(model, new_model)
             model, resp, key = new_model, new_resp, new_key
             d2, lj = _matrices(dataset, model)
-            trace.append(_record(it, dataset, model, rule, resp, lj, n_changed, events))
+            trace.append(_record(it, dataset, model, rule, resp, lj, j, n_changed, events))
         except NumericError as exc:
             trace[-1].events.append(f"numeric failure at iteration {it}: {exc}")
             exc.trace = trace

@@ -101,7 +101,7 @@ def test_criterion_1_hard_assignment_equivalence():
         points = Dataset(rng.normal(size=(n, d)) * float(rng.uniform(0.5, 3.0)))
         means = points.points[rng.choice(n, size=c, replace=False)]
         model = IsotropicGMM(means, float(rng.uniform(1e-3, 10.0)))
-        resp_tv, model_tv, _ = tvem_step(points, model, 1)
+        resp_tv, model_tv, _, _ = tvem_step(points, model, 1)
         resp_km, means_km, _ = kmeans_step(points, means)
         assert np.array_equal(resp_tv.hard_labels(), resp_km.hard_labels())
         assert np.max(np.abs(model_tv.means - means_km)) <= 1e-12
@@ -147,7 +147,7 @@ def test_criterion_3_bound_and_gap_identity(monotone_results):
         means = ds.points[rng.choice(ds.n, 4, replace=False)]
         for _ in range(8):
             resp, means, _ = kmeans_step(ds, means)
-            model, _ = m_step_iso(ds, resp)
+            model, _, _ = m_step_iso(ds, resp)
             lhs = log_likelihood(log_joints(ds, model)) - free_energy_kmeans(4, 2, model.sigma2)
             assert lhs >= -1e-10
             assert abs(lhs - kl_gap(ds, model, resp)) <= 1e-10
@@ -162,7 +162,7 @@ def test_criterion_3_bound_and_gap_identity(monotone_results):
         model = IsotropicGMM(means, 1.0)
         state = select_nearest(squared_distances(ds.points, means), 1)
         for _ in range(6):
-            resp, model, _ = lazy_step(ds, model, 0.3, state)
+            resp, model, _, _ = lazy_step(ds, model, 0.3, state)
             state = resp.support
             lhs = log_likelihood(log_joints(ds, model)) - free_energy_kmeans(4, 2, model.sigma2)
             assert lhs >= -1e-10
@@ -180,7 +180,7 @@ def test_criterion_4_reductions():
         ds = _blobs(500 + i)
         means = ds.points[rng.choice(ds.n, 4, replace=False)]
         model = IsotropicGMM(means, float(rng.uniform(0.1, 2.0)))
-        resp, new_model, _ = tvem_step(ds, model, 4)
+        resp, new_model, _, _ = tvem_step(ds, model, 4)
         exact = responsibilities_exact(log_joints(ds.points, model))
         assert np.max(np.abs(resp.dense() - exact.dense())) <= 1e-12
         lj = log_joints(ds, model)
@@ -209,7 +209,7 @@ def test_criterion_4_reductions():
             means,
             np.broadcast_to(sigma2 * np.eye(2), (4, 2, 2)).copy(),
         )
-        resp, _, _ = sigma_pi_step(ds, gen)
+        resp, _, _, _ = sigma_pi_step(ds, gen)
         km_resp, _, _ = kmeans_step(ds, means)
         assert np.array_equal(resp.hard_labels(), km_resp.hard_labels())
     print("\n[PASS] criterion 4: full-set, lazy eps=0, and score-rule reductions")
@@ -252,7 +252,7 @@ def test_criterion_6_distortion_identities():
         means = ds.points[rng.choice(ds.n, 4, replace=False)]
         for _ in range(6):
             resp, means, _ = kmeans_step(ds, means)
-            model, _ = m_step_iso(ds, resp)
+            model, _, _ = m_step_iso(ds, resp)
             j = objective_j(ds, resp, model.means)
             assert abs(j - ds.d * ds.n * model.sigma2) <= 1e-12
             f_j, l_j, gap_j = appendix_forms(ds, resp, model.means)

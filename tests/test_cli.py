@@ -403,6 +403,12 @@ class TestRejectedInputs:
             ("generate_overflowing_sigma", "points must be finite"),
             ("generate_grid_with_box", "grid kind does not take domain_box"),
             ("generate_uniform_with_spacing", "uniform kind does not take spacing"),
+            ("experiment_data_with_box_and_spacing",
+             "experiment with --data does not take --gen-spacing, --gen-box"),
+            ("experiment_data_with_default_valued_counts",
+             "experiment with --data does not take --gen-c-true, --gen-per-cluster-n"),
+            ("experiment_data_with_sigma_and_seed",
+             "experiment with --data does not take --gen-sigma, --gen-seed"),
         ],
     )
     def test_config_error_without_traceback(self, tmp_path, capsys, case, words):
@@ -433,6 +439,15 @@ class TestRejectedInputs:
                                        "--gen-box", "0:1", "--out", out],
             "generate_uniform_with_spacing": ["generate", "--gen-kind", "uniform", "--gen-box",
                                               "0:1", "--gen-spacing", "3", "--out", out],
+            "experiment_data_with_box_and_spacing": ["experiment", "--data", data, "--gen-box",
+                                                     "0:1", "--gen-spacing", "3", *self.KMEANS,
+                                                     "--out", out],
+            "experiment_data_with_default_valued_counts": [
+                "experiment", "--data", data, "--gen-c-true", "25", "--gen-per-cluster-n", "100",
+                *self.KMEANS, "--out", out],
+            "experiment_data_with_sigma_and_seed": ["experiment", "--data", data, "--gen-sigma",
+                                                    "1", "--gen-seed", "0", *self.KMEANS,
+                                                    "--out", out],
         }[case]
         capsys.readouterr()
         code = main(args)

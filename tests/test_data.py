@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from tvclust import (
     ConfigurationError,
@@ -330,8 +330,8 @@ def _row_loop_points(path):
 
 
 # id -> (width, rows, {file line: replacement text}, line ending, message or
-# None for a file that parses).  Blocks are 1024 lines: line 1500 is in the
-# second block, line 2049 starts the third.
+# None for a file that parses).  The bad lines sit past the first 1024 and
+# 2048 lines, where an earlier reader split the file into blocks.
 _CSV_CASES = {
     "bad_cell_second_block": (3, 2500, {1500: "1.0,abc,2.0"}, "\n",
                               "line 1500: non-numeric value 'abc'"),
@@ -385,6 +385,70 @@ def test_block_reader_skips_the_row_loop_on_good_blocks(tmp_path, monkeypatch):
     save_csv(Dataset(np.arange(6000.0).reshape(3000, 2)), path)
     assert load_csv(path).n == 3000
     assert len(calls) == 1  # the header test of line 1
+
+
+# Cells on which ``np.loadtxt`` and ``float`` can disagree: separators
+# U+001C-U+001F (``loadtxt`` strips them), non-ASCII digits and ``1_0``
+# (``float`` takes them), blank cells and lines (``loadtxt`` skips blank
+# lines), embedded CR, comment and quote characters, non-finite values.
+_ODD_CELLS = st.one_of(
+    st.sampled_from([
+        "", " ", "\t", "nan", "-inf", "inf", "1e400", "1e-320", "1_0", "\u0661", "\uff11",
+        "\u0661\u0662.5", "#", "1#2", '"1"', "'1'", "1\r", "\r1", "1\r2", "1\x1c", "\x1f2",
+        " 1\x1e", "\x1d", " +.5 ", "-0", "0x10", "1e5",
+    ]),
+    st.text(alphabet="0123456789.-+e _\t\r#\"',\x1c\x1d\x1e\x1f\u0661\uff11", max_size=5),
+)
+_NUMBER_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**6), 10**6).map(str),
+)
+
+
+@st.composite
+def _csv_texts(draw):
+    """Rows of numbers with up to two odd cells and a blank line put in."""
+    width = draw(st.integers(1, 3))
+    cells = st.lists(_NUMBER_CELLS, min_size=width, max_size=width)
+    rows = draw(st.lists(cells, min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 2))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        row[draw(st.integers(0, width - 1))] = draw(_ODD_CELLS)
+    for _ in range(draw(st.integers(0, 1))):
+        blank = draw(st.sampled_from(["", " ", "\t", "\r", "\x1c"]))
+        rows.insert(draw(st.integers(0, len(rows))), [blank])
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(map(",".join, rows)) + draw(st.sampled_from(["", eol, eol + eol]))
+
+
+@given(text=_csv_texts())
+@example(text="1\n2\x1c\n")
+@example(text="1,2\n3,\x1f4\n")
+@example(text="1\n\u0661\n")
+@example(text="1\n\uff11\n")
+@example(text="1\n1_0\n")
+@example(text="1\n\n2\n")
+@example(text="1\n \n2\n")
+@example(text="1\n2\r3\n")
+@example(text="1\n#2\n")
+@example(text='1\n"2"\n')
+@example(text="1,\n2,\n")
+@example(text="1\nnan\n")
+@example(text="1,2\n3,-inf\n")
+@example(text="1,2\r\n3,4\r\n")
+@example(text="5\n")
+def test_reader_accepts_exactly_what_the_row_loop_accepts(text, tmp_path_factory):
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        want = _row_loop_points(path)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            load_csv(path)
+        assert str(err.value) == str(exc)
+        return
+    got = load_csv(path).points
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -36,7 +36,7 @@ L_FOUR = F_FOUR + GAP_FOUR
 def four_point_post_iteration():
     ds = Dataset([0.0, 1.0, 3.0, 4.0])
     resp, means, _ = kmeans_step(ds, np.array([[0.0], [4.0]]))
-    model, _ = m_step_iso(ds, resp)
+    model, _, _ = m_step_iso(ds, resp)
     state = resp.support
     return ds, resp, model, state
 
@@ -63,7 +63,7 @@ class TestObjectiveJ:
         means = rng.normal(size=(4, 3))
         for _ in range(5):
             resp, means, _ = kmeans_step(ds, means)
-            model, _ = m_step_iso(ds, resp)
+            model, _, _ = m_step_iso(ds, resp)
             j = objective_j(ds, resp, model.means)
             assert abs(j - ds.n * ds.d * model.sigma2) <= 1e-12
 
@@ -115,7 +115,7 @@ class TestFreeEnergyKmeans:
         means = rng.normal(size=(3, 2))
         for _ in range(4):
             resp, means, _ = kmeans_step(ds, means)
-            model, _ = m_step_iso(ds, resp)
+            model, _, _ = m_step_iso(ds, resp)
             state = resp.support
             closed = free_energy_kmeans(3, 2, model.sigma2)
             assert free_energy_trunc(log_joints(ds, model), state) == pytest.approx(
@@ -166,7 +166,7 @@ class TestKlGap:
     def test_positive_when_other_terms_contribute(self):
         ds = Dataset([[0.0], [1.0]])
         resp, means, _ = kmeans_step(ds, np.array([[0.1], [0.9]]))
-        model, _ = m_step_iso(ds, resp)
+        model, _, _ = m_step_iso(ds, resp)
         assert kl_gap(ds, model, resp) > 0.0
 
 
@@ -239,7 +239,7 @@ class TestAppendixForms:
         means = rng.normal(size=(3, 2))
         for _ in range(5):
             resp, means, _ = kmeans_step(ds, means)
-            model, _ = m_step_iso(ds, resp)
+            model, _, _ = m_step_iso(ds, resp)
             state = resp.support
             direct = free_energy_trunc(log_joints(ds, model), state)
             closed = free_energy_kmeans(3, 2, model.sigma2)
@@ -261,7 +261,7 @@ class TestTightnessTrend:
             means = centers.copy()
             for _ in range(20):
                 resp, means, _ = kmeans_step(ds, means)
-            model, _ = m_step_iso(ds, resp)
+            model, _, _ = m_step_iso(ds, resp)
             gaps.append(kl_gap(ds, model, resp))
         for a, b in zip(gaps, gaps[1:]):
             assert b <= a + 1e-12

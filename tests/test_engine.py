@@ -139,7 +139,7 @@ class TestSeeding:
 class TestMStepIso:
     def test_hand_computed_split(self, four_points):
         resp = binary_responsibilities([0, 0, 1, 1], 2)
-        model, events = m_step_iso(four_points, resp)
+        model, events, _ = m_step_iso(four_points, resp)
         assert np.allclose(model.means, [[0.5], [3.5]], atol=0)
         assert model.sigma2 == pytest.approx(0.25, abs=1e-15)
         assert events == []
@@ -149,18 +149,18 @@ class TestMStepIso:
         weights = np.full((4, 2), 0.5)
         from tvclust import Responsibilities
 
-        model, _ = m_step_iso(four_points, Responsibilities(support, weights, 2))
+        model, _, _ = m_step_iso(four_points, Responsibilities(support, weights, 2))
         assert np.allclose(model.means, 2.0, atol=1e-15)
 
     def test_singleton_clusters_hit_floor(self):
         ds = Dataset([[0.0], [10.0]])
-        model, _ = m_step_iso(ds, binary_responsibilities([0, 1], 2))
+        model, _, _ = m_step_iso(ds, binary_responsibilities([0, 1], 2))
         assert model.sigma2 == sigma2_floor(ds.points)
 
     def test_empty_cluster_reseeded_at_worst_point(self):
         ds = Dataset([[0.0], [0.5], [9.0]])
         resp = binary_responsibilities([0, 0, 0], 2)  # cluster 1 unused
-        model, events = m_step_iso(ds, resp)
+        model, events, _ = m_step_iso(ds, resp)
         assert len(events) == 1 and "cluster 1" in events[0]
         # farthest point from the merged mean is the outlier at 9
         assert model.means[1, 0] == 9.0
@@ -171,7 +171,7 @@ class TestMStepGeneral:
         ds = Dataset([[0.0], [5.0]])
         resp = binary_responsibilities([0, 1], 2)
         prev = GeneralGMM(np.full(2, 0.5), np.zeros((2, 1)), np.ones((2, 1, 1)))
-        model, events = m_step_general(ds, resp, prev)
+        model, events, _ = m_step_general(ds, resp, prev)
         assert np.allclose(model.weights, [0.5, 0.5])
         assert np.array_equal(model.covs, np.zeros((2, 1, 1)))
         assert events == []
@@ -184,7 +184,7 @@ class TestMStepGeneral:
             np.zeros((3, 2)),
             np.array([2.0, 3.0, 5.0])[:, None, None] * np.eye(2),
         )
-        model, events = m_step_general(ds, resp, prev)
+        model, events, _ = m_step_general(ds, resp, prev)
         assert np.allclose(model.means[1], [1.0, 1.0])
         # every point is sqrt(2) from the mean, so the stable worst-fit
         # order is the point order: clusters 0 and 2 land on points 0 and 1
@@ -206,7 +206,7 @@ class TestMStepGeneral:
             np.broadcast_to(np.eye(3), (2, 3, 3)).copy(),
         )
         resp = responsibilities_exact(log_joints(points, model0))
-        model, _ = m_step_general(points, resp, model0)
+        model, _, _ = m_step_general(points, resp, model0)
         for cov in model.covs:
             assert np.max(np.abs(cov - cov.T)) <= 1e-12
 
@@ -239,7 +239,7 @@ class TestMStepGeneral:
         lj = log_joints(points, gen)
         resp = truncated_responsibilities(lj, select_nearest(sigma_pi_scores(lj), c_prime))
         assert np.count_nonzero(resp.support == 0) > 2 * 256
-        model, events = m_step_general(points, resp, gen)
+        model, events, _ = m_step_general(points, resp, gen)
         # the dense reference: one einsum per cluster over all N rows
         w = resp.dense()
         want = np.empty((3, 3, 3))
@@ -249,6 +249,50 @@ class TestMStepGeneral:
         want = regularize_covariances(0.5 * (want + np.transpose(want, (0, 2, 1))))
         assert events == []
         assert np.max(np.abs(model.covs - want) / np.abs(want).max(axis=(1, 2))[:, None, None]) <= 1e-12
+
+
+class TestMStepJ:
+    """Each M-step returns the J of its posteriors around its new means,
+    which ``run`` records instead of calling ``objective_j`` again."""
+
+    @staticmethod
+    def _posteriors(seed, c, k):
+        # K-wide sets (K = C: dense) of a general model at an offset where
+        # a changed summation order shows in the last bits
+        rng = np.random.default_rng(seed)
+        ds = Dataset(1e4 + rng.normal(scale=3.0, size=(700, 3)))
+        a = rng.normal(size=(c, 3, 3))
+        gen = GeneralGMM(
+            np.full(c, 1.0 / c), ds.points[:c].copy(), a @ np.transpose(a, (0, 2, 1)) + np.eye(3)
+        )
+        lj = log_joints(ds, gen)
+        return ds, gen, truncated_responsibilities(lj, select_nearest(sigma_pi_scores(lj), k))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_iso_j_is_objective_j_bit_for_bit(self, seed, k):
+        ds, _, resp = self._posteriors(seed, 5, k)
+        model, _, j = m_step_iso(ds, resp)
+        assert j.hex() == objective_j(ds, resp, model.means).hex()
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_general_j_is_the_trace_of_the_scatter_sums(self, seed, k):
+        ds, gen, resp = self._posteriors(seed, 5, k)
+        model, events, j = m_step_general(ds, resp, gen)
+        assert events == []
+        assert j == pytest.approx(objective_j(ds, resp, model.means), rel=1e-13, abs=0)
+
+    def test_general_j_with_a_revived_cluster(self):
+        points = Dataset([[0.0], [1.0], [2.0], [6.0]])
+        prev = GeneralGMM(
+            np.array([0.5, 0.25, 0.25]),
+            np.array([[1.0], [1e3], [2e3]]),
+            np.array([[[1.0]], [[1e-2]], [[3e-2]]]),
+        )
+        resp, model, events, j = em_gmm_step(points, prev)
+        assert len(events) == 2
+        assert j == pytest.approx(objective_j(points, resp, model.means), rel=1e-13, abs=0)
 
 
 class TestGeneralRevival:
@@ -278,7 +322,7 @@ class TestGeneralRevival:
         ],
     )
     def test_revived_at_worst_fit_points_with_previous_covariance(self, step):
-        model, events = step(self.points, self.prev)[-2:]
+        model, events = step(self.points, self.prev)[-3:-1]
         # distances to the new mean 2.25: 2.25, 1.25, 0.25, 3.75, so the
         # first empty cluster lands on point 3 and the second on point 0
         assert model.means[1, 0] == 6.0
@@ -312,7 +356,7 @@ class TestSubnormalMass:
 
     def test_general_cluster_revived(self):
         prev = GeneralGMM([0.5, 0.5], [[0.5], [39.5]], np.ones((2, 1, 1)))
-        resp, model, events = em_gmm_step(self.ds, prev)
+        resp, model, events, _ = em_gmm_step(self.ds, prev)
         assert model.means[1].tolist() == self._reseeded_at(resp, events).tolist()
         assert model.covs[1, 0, 0] == prev.covs[1, 0, 0]
         assert model.weights[1] == 1.0 / self.ds.n
@@ -321,7 +365,7 @@ class TestSubnormalMass:
 
     def test_isotropic_cluster_reseeded(self):
         model = IsotropicGMM([[0.5], [39.5]], 1.0)
-        resp, new_model, events = tvem_step(self.ds, model, 2)
+        resp, new_model, events, _ = tvem_step(self.ds, model, 2)
         assert new_model.means[1].tolist() == self._reseeded_at(resp, events).tolist()
 
 
@@ -359,7 +403,7 @@ class TestTvemStep:
             ds = Dataset(rng.normal(size=(30, 2)))
             means = rng.normal(size=(3, 2))
             model = IsotropicGMM(means, float(rng.uniform(0.01, 5.0)))
-            resp, new_model, _ = tvem_step(ds, model, 1)
+            resp, new_model, _, _ = tvem_step(ds, model, 1)
             k_resp, k_means, _ = kmeans_step(ds, means)
             assert np.array_equal(resp.hard_labels(), k_resp.hard_labels())
             assert np.max(np.abs(new_model.means - k_means)) <= 1e-12
@@ -368,16 +412,16 @@ class TestTvemStep:
         rng = np.random.default_rng(9)
         ds = Dataset(rng.normal(size=(25, 2)))
         model = IsotropicGMM(rng.normal(size=(4, 2)), 0.8)
-        resp, new_model, _ = tvem_step(ds, model, 4)
+        resp, new_model, _, _ = tvem_step(ds, model, 4)
         exact = responsibilities_exact(log_joints(ds.points, model))
         assert np.max(np.abs(resp.dense() - exact.dense())) <= 1e-12
-        ref_model, _ = m_step_iso(ds, exact)
+        ref_model, _, _ = m_step_iso(ds, exact)
         assert np.max(np.abs(new_model.means - ref_model.means)) <= 1e-12
         assert new_model.sigma2 == pytest.approx(ref_model.sigma2, rel=1e-12)
 
     def test_single_cluster(self, four_points):
         model = IsotropicGMM(np.array([[1.0]]), 2.0)
-        resp, new_model, _ = tvem_step(four_points, model, 1)
+        resp, new_model, _, _ = tvem_step(four_points, model, 1)
         assert np.all(resp.weights == 1.0)
         assert new_model.means[0, 0] == pytest.approx(2.0, abs=1e-15)
         # mean squared deviation around the global mean, divided by D
@@ -391,14 +435,14 @@ class TestTvemStep:
         reference = []
         model = IsotropicGMM(means, 1.0)
         for _ in range(5):
-            resp, model, _ = tvem_step(ds, model, 1)
+            resp, model, _, _ = tvem_step(ds, model, 1)
             reference.append((resp.hard_labels().copy(), model.means.copy()))
         perturbed = []
         model = IsotropicGMM(means, 1.0)
         for i in range(5):
             # overwrite the variance with garbage between iterations
             model = IsotropicGMM(model.means, float(rng.uniform(1e-6, 1e6)))
-            resp, model, _ = tvem_step(ds, model, 1)
+            resp, model, _, _ = tvem_step(ds, model, 1)
             perturbed.append((resp.hard_labels().copy(), model.means.copy()))
         for (la, ma), (lb, mb) in zip(reference, perturbed):
             assert np.array_equal(la, lb)
@@ -412,7 +456,7 @@ class TestTvemStep:
             np.broadcast_to(np.eye(2), (3, 2, 2)).copy(),
         )
         for c_prime in (1, 2, 3):
-            resp, new_model, _ = tvem_step(ds, model, c_prime)
+            resp, new_model, _, _ = tvem_step(ds, model, c_prime)
             assert isinstance(new_model, GeneralGMM)
             assert resp.support.shape == (ds.n, c_prime)
 
@@ -436,7 +480,7 @@ class TestTvemStep:
             prev = None
             for _ in range(30):
                 try:
-                    resp, model, events = tvem_step(ds, model, c_prime)
+                    resp, model, events, _ = tvem_step(ds, model, c_prime)
                     f = free_energy_trunc(log_joints(ds, model), resp)
                 except NumericError:
                     break
@@ -456,7 +500,7 @@ class TestLazyStep:
         means = rng.normal(size=(4, 2))
         model = IsotropicGMM(means, 1.0)
         state = select_nearest(squared_distances(ds.points, means), 1)
-        resp, new_model, _ = lazy_step(ds, model, 0.0, state)
+        resp, new_model, _, _ = lazy_step(ds, model, 0.0, state)
         k_resp, k_means, _ = kmeans_step(ds, means)
         assert np.array_equal(resp.hard_labels(), k_resp.hard_labels())
         assert np.array_equal(new_model.means, k_means)
@@ -468,7 +512,7 @@ class TestLazyStep:
         state = select_nearest(squared_distances(ds.points, means), 1)
         model = IsotropicGMM(means, 1.0)
         frozen_labels = state[:, 0]
-        resp, new_model, _ = lazy_step(ds, model, 1e12, state)
+        resp, new_model, _, _ = lazy_step(ds, model, 1e12, state)
         assert np.array_equal(resp.support, state)
         # means become the centroids of the frozen partition in one step
         for c in range(3):
@@ -484,7 +528,7 @@ class TestLazyStep:
         model = IsotropicGMM(means, 1.0)
         state_before = binary_responsibilities(state_sets[:, 0], 2)
         j_before = objective_j(points, state_before, means)
-        resp, new_model, _ = lazy_step(points, model, 0.2, state_sets)
+        resp, new_model, _, _ = lazy_step(points, model, 0.2, state_sets)
         assert resp.support[4, 0] == 0  # reassigned
         j_after = objective_j(points, resp, new_model.means)
         # brute-force check with plain loops
@@ -506,7 +550,7 @@ class TestSigmaPiStep:
             means,
             np.broadcast_to(0.5 * np.eye(2), (4, 2, 2)).copy(),
         )
-        resp, new_model, _ = sigma_pi_step(ds, model)
+        resp, new_model, _, _ = sigma_pi_step(ds, model)
         k_resp, _, _ = kmeans_step(ds, means)
         assert np.array_equal(resp.hard_labels(), k_resp.hard_labels())
 
@@ -517,7 +561,7 @@ class TestSigmaPiStep:
             np.array([[[4.0]], [[0.25]]]),
         )
         ds = Dataset([[0.0], [0.4]])
-        resp, _, _ = sigma_pi_step(ds, model)
+        resp, _, _, _ = sigma_pi_step(ds, model)
         assert resp.hard_labels()[0] == 1  # tighter cluster wins despite mu_0 = y
 
     def test_recovers_labels_from_ground_truth(self):
@@ -538,7 +582,7 @@ class TestSigmaPiStep:
             true_means,
             np.broadcast_to(0.09 * np.eye(2), (2, 2, 2)).copy(),
         )
-        resp, _, _ = sigma_pi_step(ds, model)
+        resp, _, _, _ = sigma_pi_step(ds, model)
         assert np.array_equal(resp.hard_labels(), ds.labels)
 
 
@@ -556,7 +600,7 @@ class TestEmGmmStep:
         )
         prev = log_likelihood(log_joints(ds.points, model))
         for _ in range(10):
-            _, model, _ = em_gmm_step(ds, model)
+            _, model, _, _ = em_gmm_step(ds, model)
             cur = log_likelihood(log_joints(ds.points, model))
             assert cur >= prev - 1e-9 * max(1.0, abs(prev))
             prev = cur

@@ -19,7 +19,7 @@ from tvclust import (
     squared_distances,
 )
 
-from conftest import log_density_iso
+from conftest import log_density_iso, log_joints_loop
 
 finite_floats = st.floats(
     allow_nan=False, allow_infinity=False, min_value=-50, max_value=50
@@ -295,6 +295,35 @@ def test_general_log_joints_match_per_point_solve():
             _, logdet = np.linalg.slogdet(2.0 * math.pi * covs[k])
             want = math.log(model.weights[k]) - 0.5 * (logdet + maha)
             assert lj[n, k] == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 300),
+    d=st.integers(1, 20),
+    c=st.integers(1, 40),
+    offset=st.sampled_from([0.0, 1e3, 1e5]),
+)
+def test_general_log_joints_match_the_per_cluster_loop_bit_for_bit(seed, n, d, c, offset):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(c, d, d))
+    covs = a @ np.transpose(a, (0, 2, 1)) + 1e-3 * np.eye(d)
+    weights = rng.random(c)
+    weights[rng.random(c) < 0.2] = 0.0  # log weight -inf
+    weights = weights / weights.sum() if weights.sum() > 0 else np.full(c, 1.0 / c)
+    model = GeneralGMM(weights, offset + rng.normal(size=(c, d)), covs)
+    points = offset + rng.normal(scale=3.0, size=(n, d))
+    got, want = log_joints(points, model), log_joints_loop(points, model)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_first_cluster_without_a_cholesky_factor_is_named():
+    covs = np.broadcast_to(np.eye(2), (5, 2, 2)).copy()
+    covs[1] = [[1.0, 2.0], [2.0, 1.0]]  # indefinite
+    covs[3] = -np.eye(2)
+    model = GeneralGMM(np.full(5, 0.2), np.zeros((5, 2)), covs)
+    with pytest.raises(NumericError, match="^covariance of cluster 1 is not positive definite$"):
+        log_joints(np.zeros((3, 2)), model)
 
 
 class TestZeroWeightComponents:
