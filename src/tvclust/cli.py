@@ -4,8 +4,7 @@ Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numeric
 failure in all restarts, or an ``audit`` bound that is not finite.
 
 A run or generator flag that is not given leaves the field to the default
-of ``RunConfig`` or ``GeneratorSpec``; only the generator's cluster count
-and size, which have no default there, have one here.
+of ``RunConfig`` or ``GeneratorSpec``.
 """
 
 from __future__ import annotations
@@ -20,18 +19,10 @@ import numpy as np
 
 from .data import GeneratorSpec, generate, load_csv, save_csv
 from .diagnostics import appendix_forms, free_energy_trunc, log_likelihood, objective_j
-from .engine import ALGORITHMS, SEEDINGS, RunConfig, run
+from .engine import ALGORITHMS, SEEDINGS, RunConfig, _matrices, _nearest, run
 from .errors import ConfigurationError, NumericError, ParseError
 from .harness import ExperimentSpec, emit, run_experiment
-from .models import (
-    IsotropicGMM,
-    load_model,
-    log_joints,
-    model_to_snapshot,
-    save_model,
-    squared_distances,
-)
-from .truncation import select_nearest, sigma_pi_scores
+from .models import IsotropicGMM, load_model, model_to_snapshot, save_model
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -74,10 +65,9 @@ _GEN_FLAGS = ("gen_c_true", "gen_per_cluster_n", "gen_sigma", "gen_spacing", "ge
 
 
 def _generator_spec(args):
-    """The spec of the generator flags given; the cluster count and size
-    default to 25 and 100 here, not in argparse, so that ``experiment``
-    can tell a flag given with ``--data``."""
-    return GeneratorSpec(**{"c_true": 25, "per_cluster_n": 100, **_given(
+    """The spec of the generator flags given; every other field keeps its
+    ``GeneratorSpec`` default."""
+    return GeneratorSpec(**_given(
         kind=args.gen_kind,
         c_true=args.gen_c_true,
         per_cluster_n=args.gen_per_cluster_n,
@@ -85,7 +75,7 @@ def _generator_spec(args):
         spacing=args.gen_spacing,
         domain_box=None if args.gen_box is None else _parse_box(args.gen_box),
         seed=args.gen_seed,
-    )})
+    ))
 
 
 def _add_run_args(parser):
@@ -176,16 +166,14 @@ def _cmd_audit(args):
         raise ConfigurationError(
             f"model dimension {model.d} does not match data dimension {dataset.d}"
         )
-    points = dataset.points
     iso = isinstance(model, IsotropicGMM)
-    d2 = squared_distances(points, model.means) if iso else None
     with np.errstate(over="ignore"):
-        lj = log_joints(points, model, d2)
-    labels = select_nearest(d2 if iso else sigma_pi_scores(lj), 1)
+        d2, lj = _matrices(dataset, model)
+    labels = _nearest(d2, lj)
     ll = log_likelihood(lj)
-    report = {"kind": "iso" if iso else "general", "J": objective_j(points, labels, model.means)}
+    report = {"kind": "iso" if iso else "general", "J": objective_j(dataset, labels, model.means)}
     if iso:
-        f, l_j, gap = appendix_forms(points, labels, model.means)
+        f, l_j, gap = appendix_forms(dataset, labels, model.means)
         report.update(F=f, L=l_j, gap=gap, L_at_model_sigma2=ll)
     else:
         f = free_energy_trunc(lj, labels)

@@ -85,8 +85,8 @@ class GeneratorSpec:
     """
 
     kind: str
-    c_true: int
-    per_cluster_n: int
+    c_true: int = 25
+    per_cluster_n: int = 100
     gen_sigma: float = 1.0
     spacing: float | None = None
     domain_box: tuple[tuple[float, float], ...] | None = None
@@ -262,13 +262,14 @@ def _row_loop(rows, lineno, width):
 
 def load_csv(path):
     """Parse a CSV of points; a first row that is not all finite numbers is
-    treated as a header.
+    treated as a header.  A UTF-8 byte-order mark at the start of the data
+    or the labels file is dropped.
 
     All data rows go through one ``np.loadtxt`` call (``_loadtxt``); only
     a file it cannot read exactly as the row loop would runs the row loop,
     so every ``ParseError`` names the first bad line.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     lines = text.split("\n")
     while lines and lines[-1] == "":
         lines.pop()
@@ -289,7 +290,7 @@ def load_csv(path):
     labels = None
     lpath = _labels_path(path)
     if lpath.exists():
-        raw = [ln for ln in lpath.read_text(encoding="utf-8").split("\n") if ln != ""]
+        raw = [ln for ln in lpath.read_text(encoding="utf-8-sig").split("\n") if ln != ""]
         try:
             labels = np.array([int(v) for v in raw], dtype=np.int64)
         except ValueError as exc:
@@ -298,4 +299,6 @@ def load_csv(path):
             raise ParseError(
                 f"labels file {lpath}: {labels.shape[0]} labels for {points.shape[0]} points"
             )
+        if np.any(labels < 0):
+            raise ParseError(f"labels file {lpath}: negative label {labels[labels < 0][0]}")
     return Dataset(points, labels)

@@ -138,13 +138,12 @@ def kl_gap(dataset, model, assignments):
     truncated and exact posteriors; it is nonnegative whenever sigma2
     satisfies the post-iteration convention, and zero for C = 1.
     """
-    points = _points_of(dataset)
     resp = _as_responsibilities(assignments, model.c)
     labels = resp.hard_labels()
-    d2 = squared_distances(points, model.means)
-    n, d = points.shape
+    d2 = squared_distances(dataset, model.means)
+    n, d = _points_of(dataset).shape
     sigma2 = max(
-        float(d2[np.arange(n), labels].sum()) / (d * n), sigma2_floor(points)
+        float(d2[np.arange(n), labels].sum()) / (d * n), sigma2_floor(dataset)
     )
     return 0.5 * d + float(np.mean(logsumexp(-d2 / (2.0 * sigma2), axis=1)))
 
@@ -179,14 +178,13 @@ def appendix_forms(dataset, assignments, means):
     D * N * sigma2_floor so exact-fit data stays finite.
     The bound L >= F holds because the gap is nonnegative.
     """
-    points = _points_of(dataset)
     means = _points_of(means)
     resp = _as_responsibilities(assignments, means.shape[0])
-    n, d = points.shape
-    j = objective_j(points, resp, means)
-    j_eff = max(j, d * n * sigma2_floor(points))
+    n, d = _points_of(dataset).shape
+    j = objective_j(dataset, resp, means)
+    j_eff = max(j, d * n * sigma2_floor(dataset))
     f = free_energy_kmeans(means.shape[0], d, j_eff / (d * n))
-    d2 = squared_distances(points, means)
+    d2 = squared_distances(dataset, means)
     gap = 0.5 * d + float(
         np.mean(logsumexp(-(0.5 * d * n) * d2 / j_eff, axis=1))
     )

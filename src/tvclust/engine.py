@@ -19,7 +19,8 @@ model, any reseed events and the J of the posteriors around the new means.
 Every kernel but ``kmeans_step`` is ``_e_step`` of its rule followed by its
 family's M-step and returns ``(resp, model, events, J)``, where
 ``resp.support`` is K^(n); ``kmeans_step``, the variance-free Lloyd
-reference, returns ``(resp, means, events)``.
+reference, returns ``(resp, means, events)``.  ``_nearest`` alone ranks the
+clusters of the nearest rule, for the E-step and for ``tvclust audit``.
 
 In the M-step each mean is the posterior-weighted average of the data for
 both families, so one routine, ``_weighted_means``, computes it for
@@ -297,9 +298,7 @@ def m_step_general(dataset, resp, prev):
     EM) keeps one dense ``einsum`` per cluster over all N rows, because
     ``tests/golden/dup_em_gmm.jsonl`` pins that summation order: on its
     duplicate-heavy data the blocked products move F by more than the
-    fixture's tolerance.  The einsum reads the residuals and their weighted
-    copy from two buffers reused across clusters, each cluster's weights
-    from one contiguous row of the transposed posteriors.
+    fixture's tolerance.
     """
     points = _points_of(dataset)
     n, d = points.shape
@@ -309,14 +308,9 @@ def m_step_general(dataset, resp, prev):
     kept = np.delete(np.arange(resp.n_clusters), empty)
     width = resp.support.shape[1]
     if width == resp.n_clusters:
-        wt = np.ascontiguousarray(w.T)
-        del w  # its transposed copy replaces it
-        diff = np.empty_like(points)
-        wdiff = np.empty_like(points)
         for k in kept:
-            np.subtract(points, means[k], out=diff)
-            np.multiply(wt[k, :, None], diff, out=wdiff)
-            covs[k] = np.einsum("nd,ne->de", wdiff, diff)
+            diff = points - means[k]
+            covs[k] = np.einsum("nd,ne->de", w[:, k, None] * diff, diff)
     else:
         # The support's entries grouped by cluster, rows ascending in each.
         order = np.argsort(resp.support, axis=None, kind="stable")
@@ -353,7 +347,7 @@ def kmeans_step(dataset, means):
     """
     points = _points_of(dataset)
     means = _points_of(means)
-    labels = select_nearest(squared_distances(points, means), 1)[:, 0]
+    labels = select_nearest(squared_distances(dataset, means), 1)[:, 0]
     resp = binary_responsibilities(labels, means.shape[0])
     _, new_means, _, events = _weighted_means(points, resp, resp.dense())
     return resp, new_means, events
@@ -425,23 +419,30 @@ def _matrices(dataset, model):
     return d2, log_joints(dataset, model, d2)
 
 
+def _nearest(d2, lj, c_prime=1):
+    """The ``nearest`` rule's (N, C') index sets at the model whose
+    ``_matrices`` are ``(d2, lj)``: the C' nearest centers by squared
+    distance for the isotropic family, and the lowest-scoring clusters
+    (``sigma_pi_scores``) for the general one, so ties break as those
+    matrices say."""
+    return select_nearest(d2 if d2 is not None else sigma_pi_scores(lj), c_prime)
+
+
 def _e_step(rule, d2, lj, c_prime, epsilon, last):
     """The posteriors of selection ``rule`` at the model whose
     ``_matrices`` are ``(d2, lj)``, read off those matrices alone.
 
     ``full`` gives the exact posteriors.  ``lazy`` keeps the support of
     ``last``, the posteriors (or index matrix) it starts from, unless a
-    center is closer by the epsilon factor.  ``nearest`` takes the C'
-    nearest centers by squared distance for the isotropic family, and the
-    lowest-scoring singleton (``sigma_pi_scores``) for the general one, so
-    ties break as those matrices say.
+    center is closer by the epsilon factor.  ``nearest`` takes the sets of
+    ``_nearest``.
     """
     if rule == "full":
         return responsibilities_exact(lj)
     if rule == "lazy":
         sets = lazy_reassign(d2, epsilon, last)
     else:
-        sets = select_nearest(d2 if d2 is not None else sigma_pi_scores(lj), c_prime or 1)
+        sets = _nearest(d2, lj, c_prime or 1)
     return truncated_responsibilities(lj, sets)
 
 

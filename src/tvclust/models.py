@@ -266,8 +266,7 @@ def log_joints(points, model, d2=None):
     Cholesky factor of Sigma_c.  All C factors and their D x D inverses
     come from one batched ``cholesky`` and one batched ``solve``; the
     covariance itself is never inverted.  Each cluster then whitens its
-    residuals with one product by its inverse factor and writes its column
-    in place, through buffers reused across clusters.  Raises
+    residuals with one product by its inverse factor.  Raises
     ``NumericError`` naming the first cluster whose covariance is not
     positive definite.
     """
@@ -297,15 +296,9 @@ def log_joints(points, model, d2=None):
     with np.errstate(divide="ignore"):
         logw = np.log(model.weights)
     out = np.empty((n, model.c))
-    diff = np.empty((n, d))
-    z = np.empty((n, d))
-    maha = np.empty(n)
     for c in range(model.c):
-        np.matmul(np.subtract(points, model.means[c], out=diff), inv[c].T, out=z)
-        np.einsum("nd,nd->n", z, z, out=maha)
-        maha += logdet[c]
-        maha *= 0.5
-        np.subtract(logw[c], maha, out=out[:, c])
+        z = (points - model.means[c]) @ inv[c].T
+        out[:, c] = logw[c] - 0.5 * (np.einsum("nd,nd->n", z, z) + logdet[c])
     return out
 
 

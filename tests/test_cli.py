@@ -40,6 +40,11 @@ class TestGenerate:
         assert (tmp_path / "data.csv.labels").exists()
         assert "80 points" in capsys.readouterr().out
 
+    def test_counts_default_to_the_generator_spec(self, tmp_path, capsys):
+        out = tmp_path / "data.csv"
+        assert main(["generate", "--gen-kind", "grid", "--out", str(out)]) == EXIT_OK
+        assert "wrote 2500 points" in capsys.readouterr().out
+
     def test_uniform_needs_box(self, tmp_path):
         code = main(
             [
@@ -140,8 +145,12 @@ class TestFit:
 
     @pytest.mark.parametrize(
         "labels,words",
-        [("0\n1\nx\n", "invalid literal"), ("0\n1\n", "2 labels for 80 points")],
-        ids=["non_integer", "wrong_count"],
+        [
+            ("0\n1\nx\n", "invalid literal"),
+            ("0\n1\n", "2 labels for 80 points"),
+            ("0\n" * 79 + "-1\n", "negative label -1"),
+        ],
+        ids=["non_integer", "wrong_count", "negative"],
     )
     def test_bad_labels_file_is_io_error(self, tmp_path, capsys, labels, words):
         data = _generate(tmp_path)

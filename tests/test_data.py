@@ -47,6 +47,10 @@ class TestDataset:
 
 
 class TestGeneratorSpec:
+    def test_counts_default_to_the_grid_benchmark(self):
+        spec = GeneratorSpec(kind="grid")
+        assert (spec.c_true, spec.per_cluster_n) == (25, 100)
+
     def test_grid_requires_square_c_true(self):
         with pytest.raises(ConfigurationError):
             GeneratorSpec(kind="grid", c_true=24, per_cluster_n=10)
@@ -249,6 +253,14 @@ class TestCsv:
         path.write_text("1.0,2.0\ninf,0.0\n")
         with pytest.raises(ParseError, match="line 2"):
             load_csv(path)
+
+    def test_byte_order_mark_is_not_a_header(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n5,6\n7,8\n")
+        (tmp_path / "bom.csv.labels").write_bytes(b"\xef\xbb\xbf0\n0\n1\n1\n")
+        ds = load_csv(path)
+        assert np.array_equal(ds.points, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
+        assert np.array_equal(ds.labels, [0, 0, 1, 1])
 
     def test_labels_sidecar_round_trip(self, tmp_path):
         ds = Dataset([[0.0], [1.0], [2.0]], labels=[0, 0, 1])
