@@ -173,7 +173,7 @@ def _cmd_audit(args):
     ll = log_likelihood(lj)
     report = {"kind": "iso" if iso else "general", "J": objective_j(dataset, labels, model.means)}
     if iso:
-        f, l_j, gap = appendix_forms(dataset, labels, model.means)
+        f, l_j, gap = appendix_forms(dataset, d2, report["J"])
         report.update(F=f, L=l_j, gap=gap, L_at_model_sigma2=ll)
     else:
         f = free_energy_trunc(lj, labels)

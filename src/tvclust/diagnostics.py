@@ -167,24 +167,22 @@ def free_energy_entropy_form(dataset, resp, sigma2):
     return free_energy_kmeans(resp.n_clusters, d, sigma2) + mean_entropy
 
 
-def appendix_forms(dataset, assignments, means):
+def appendix_forms(dataset, d2, j):
     """The distortion-based forms (F, L, gap) with sigma2 replaced by J/(D N).
 
     F = -log(C) - (D/2) log((2 pi e / (D N)) J)
     gap = D/2 + (1/N) sum_n log sum_c exp(-(D N / 2) d_nc^2 / J)
     L = F + gap
 
-    C is the number of rows of ``means``.  J is floored at
-    D * N * sigma2_floor so exact-fit data stays finite.
+    ``d2`` is the (N, C) matrix of squared distances d_nc^2 to the C means
+    and ``j`` the distortion J of an assignment to them (``objective_j``).
+    J is floored at D * N * sigma2_floor so exact-fit data stays finite.
     The bound L >= F holds because the gap is nonnegative.
     """
-    means = _points_of(means)
-    resp = _as_responsibilities(assignments, means.shape[0])
-    n, d = _points_of(dataset).shape
-    j = objective_j(dataset, resp, means)
+    n, c = d2.shape
+    d = _points_of(dataset).shape[1]
     j_eff = max(j, d * n * sigma2_floor(dataset))
-    f = free_energy_kmeans(means.shape[0], d, j_eff / (d * n))
-    d2 = squared_distances(dataset, means)
+    f = free_energy_kmeans(c, d, j_eff / (d * n))
     gap = 0.5 * d + float(
         np.mean(logsumexp(-(0.5 * d * n) * d2 / j_eff, axis=1))
     )

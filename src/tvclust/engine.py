@@ -16,11 +16,12 @@ k-means still updates the shared variance each iteration; it never feeds
 back into the mean path, whose updates are variance-independent for
 singleton sets.  Both M-steps return ``(model, events, J)``: the new
 model, any reseed events and the J of the posteriors around the new means.
-Every kernel but ``kmeans_step`` is ``_e_step`` of its rule followed by its
-family's M-step and returns ``(resp, model, events, J)``, where
-``resp.support`` is K^(n); ``kmeans_step``, the variance-free Lloyd
-reference, returns ``(resp, means, events)``.  ``_nearest`` alone ranks the
-clusters of the nearest rule, for the E-step and for ``tvclust audit``.
+Every kernel but ``kmeans_step`` hands its rule's posteriors to
+``tvem_step``, which runs the M-step of the model's family, and returns
+``(resp, model, events, J)``, where ``resp.support`` is K^(n);
+``kmeans_step``, the variance-free Lloyd reference, returns ``(resp,
+means, events)``.  ``_nearest`` alone ranks the clusters of the nearest
+rule, for the E-step and for ``tvclust audit``.
 
 In the M-step each mean is the posterior-weighted average of the data for
 both families, so one routine, ``_weighted_means``, computes it for
@@ -363,8 +364,8 @@ def tvem_step(dataset, model, c_prime, resp=None):
     event (``run`` does not take that path).  With c_prime = 1 the mean path
     coincides with ``kmeans_step``; with c_prime = C it is one exact EM
     iteration for the isotropic model.  Given this iteration's posteriors
-    as ``resp`` (``run`` passes them for every algorithm), it runs only the
-    M-step.  Returns ``(resp, model, events, J)``.
+    as ``resp`` (``run``, ``lazy_step`` and ``em_gmm_step`` pass them), it
+    runs only the M-step.  Returns ``(resp, model, events, J)``.
     """
     if resp is None:
         resp = _e_step("nearest", *_matrices(dataset, model), c_prime, None, None)
@@ -374,15 +375,17 @@ def tvem_step(dataset, model, c_prime, resp=None):
 
 
 def lazy_step(dataset, model, epsilon, sets):
-    """Lazy reassignment of ``sets`` (the last support), then k-means updates."""
+    """Lazy reassignment of ``sets`` (the last support), then the M-step of
+    the model's family (``tvem_step``)."""
     resp = _e_step("lazy", *_matrices(dataset, model), None, epsilon, sets)
-    return (resp, *m_step_iso(dataset, resp))
+    return tvem_step(dataset, model, None, resp)
 
 
 def em_gmm_step(dataset, model):
-    """One exact EM iteration for the general weighted mixture."""
-    resp = _e_step("full", *_matrices(dataset, model), None, None, None)
-    return (resp, *m_step_general(dataset, resp, model))
+    """One exact EM iteration: exact posteriors, then the M-step of the
+    model's family (``tvem_step``), so an ``IsotropicGMM`` gets the
+    isotropic one."""
+    return tvem_step(dataset, model, None, responsibilities_exact(log_joints(dataset, model)))
 
 
 def sigma_pi_step(dataset, model):
@@ -446,9 +449,11 @@ def _e_step(rule, d2, lj, c_prime, epsilon, last):
     return truncated_responsibilities(lj, sets)
 
 
-def _record(iteration, dataset, model, rule, resp, lj, j, n_changed, events):
+def _record(iteration, dataset, model, resp, lj, j, n_changed, events):
     """The trace record of ``model`` and the posteriors ``resp`` that made
-    it, with ``lj`` the log-joints at ``model``.
+    it, with ``lj`` the log-joints at ``model``.  F sums each point's
+    joints over its support for every rule; over exact EM's support, every
+    cluster in index order, that sum is L's, bit for bit, so the gap is 0.
 
     ``j`` is the J of ``resp`` around the model's means that the M-step
     returned: ``objective_j`` for the isotropic family, and
@@ -457,7 +462,7 @@ def _record(iteration, dataset, model, rule, resp, lj, j, n_changed, events):
     """
     n, d = _points_of(dataset).shape
     ll = log_likelihood(lj)
-    f = ll if rule == "full" else free_energy_trunc(lj, resp)  # support is arange(C): F is L
+    f = free_energy_trunc(lj, resp)
     return TraceRecord(
         iteration=iteration,
         J=j,
@@ -511,7 +516,7 @@ def run(dataset, config):
     model, d2, lj, resp = _initial_state(dataset, config, rng)
     key = _set_key(resp, rule)
     j = objective_j(dataset, resp, model.means)
-    trace = [_record(0, dataset, model, rule, resp, lj, j, dataset.n, [])]
+    trace = [_record(0, dataset, model, resp, lj, j, dataset.n, [])]
     reason = "max_iters"
     new_resp = resp
     for it in range(1, config.max_iters + 1):
@@ -525,7 +530,7 @@ def run(dataset, config):
             rel = _rel_change(model, new_model)
             model, resp, key = new_model, new_resp, new_key
             d2, lj = _matrices(dataset, model)
-            trace.append(_record(it, dataset, model, rule, resp, lj, j, n_changed, events))
+            trace.append(_record(it, dataset, model, resp, lj, j, n_changed, events))
         except NumericError as exc:
             trace[-1].events.append(f"numeric failure at iteration {it}: {exc}")
             exc.trace = trace

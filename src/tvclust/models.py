@@ -215,21 +215,14 @@ class Responsibilities:
     def __post_init__(self):
         self._set(_index_sets(self.support, self.n_clusters), self.weights)
 
-    @classmethod
-    def _on_checked(cls, support, weights, n_clusters):
-        """Build on a support that ``_index_sets`` has just returned."""
-        resp = object.__new__(cls)
-        object.__setattr__(resp, "n_clusters", n_clusters)
-        resp._set(support, weights)
-        return resp
-
     def _set(self, support, weights):
         weights = _as_readonly(weights)
         if support.shape != weights.shape:
             raise ConfigurationError("support and weights must share shape (N, K)")
-        if np.any(weights < 0.0):
+        # Written so that a NaN weight fails both checks.
+        if not np.all(weights >= 0.0):
             raise ConfigurationError("responsibility weights must be nonnegative")
-        if np.any(np.abs(weights.sum(axis=1) - 1.0) > 1e-12):
+        if not np.all(np.abs(weights.sum(axis=1) - 1.0) <= 1e-12):
             raise ConfigurationError("responsibility rows must sum to 1")
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "weights", weights)
@@ -302,13 +295,23 @@ def log_joints(points, model, d2=None):
     return out
 
 
-def responsibilities_exact(lj):
-    """Dense posterior p(c | y^(n)) for every point, via log-sum-exp over
-    the (N, C) log-joints ``lj``."""
-    weights = np.exp(lj - logsumexp(lj, axis=1)[:, None])
+def _posteriors(sub, support, n_clusters):
+    """The posteriors over ``support``, an index matrix that ``_index_sets``
+    has checked, from ``sub``, the log-joints gathered on it: each row's
+    max-shifted softmax.  Every selection rule builds its posteriors here."""
+    weights = np.exp(sub - logsumexp(sub, axis=1)[:, None])
     weights = weights / weights.sum(axis=1, keepdims=True)
-    support = _as_readonly(np.broadcast_to(np.arange(lj.shape[1]), lj.shape), np.int64)
-    return Responsibilities._on_checked(support, weights, lj.shape[1])
+    resp = object.__new__(Responsibilities)
+    object.__setattr__(resp, "n_clusters", n_clusters)
+    resp._set(support, weights)
+    return resp
+
+
+def responsibilities_exact(lj):
+    """Dense posterior p(c | y^(n)) for every point, read off the (N, C)
+    log-joints ``lj``.  The support, every cluster in index order, is a
+    read-only broadcast view of ``arange(C)``, not an N x C copy."""
+    return _posteriors(lj, np.broadcast_to(np.arange(lj.shape[1]), lj.shape), lj.shape[1])
 
 
 def regularize_covariances(covs):

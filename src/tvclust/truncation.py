@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError
-from .models import Responsibilities, _index_sets, logsumexp
+from .models import _index_sets, _posteriors
 
 
 def select_nearest(d2, c_prime):
@@ -37,25 +37,25 @@ def select_nearest(d2, c_prime):
     ``sigma_pi_scores(lj)`` for the general model.  Returns an owned
     (N, C') matrix, lowest first, ties toward the smaller index: the first
     C' columns of a stable argsort of ``d2``.  It is built by C' passes of
-    ``argmin``, which returns the first minimum, each masking its pick to
-    ``inf`` in a copy.  A row whose pick is not finite (fewer than C'
-    finite entries, or a NaN) could pick a masked column again, so such
-    rows are sorted stably instead.
+    ``argmin``, which returns the first minimum.  The first pass reads
+    ``d2`` itself; each later one masks the previous pick to ``inf`` in a
+    copy, made once, so C' = 1 copies nothing.  A row whose pick is not
+    finite (fewer than C' finite entries, or a NaN, which ``argmin`` picks
+    first) is sorted stably instead.
     """
-    c = d2.shape[1]
+    n, c = d2.shape
     if not 1 <= c_prime <= c:
         raise ConfigurationError(f"c_prime must be in [1, {c}], got {c_prime}")
-    if c_prime == 1:
-        return np.argmin(d2, axis=1)[:, None]
-    work = np.array(d2, dtype=np.float64)
-    rows = np.arange(work.shape[0])
-    order = np.empty((work.shape[0], c_prime), dtype=np.int64)
-    finite = np.ones(work.shape[0], dtype=bool)
+    work = d2
+    rows = np.arange(n)
+    order = np.empty((n, c_prime), dtype=np.int64)
+    finite = np.ones(n, dtype=bool)
     for j in range(c_prime):
-        col = np.argmin(work, axis=1)
-        finite &= np.isfinite(work[rows, col])
-        work[rows, col] = np.inf
-        order[:, j] = col
+        if j:
+            work = work if j > 1 else np.array(d2, dtype=np.float64)
+            work[rows, order[:, j - 1]] = np.inf
+        order[:, j] = np.argmin(work, axis=1)
+        finite &= np.isfinite(work[rows, order[:, j]])
     redo = np.flatnonzero(~finite)
     if redo.size:
         order[redo] = np.argsort(d2[redo], axis=1, kind="stable")[:, :c_prime]
@@ -80,7 +80,7 @@ def lazy_reassign(d2, epsilon, sets):
     if sets.shape[1] != 1:
         raise ConfigurationError("lazy reassignment is only defined for c_prime = 1")
     current = sets[:, 0]
-    best = np.argmin(d2, axis=1)
+    best = select_nearest(d2, 1)[:, 0]
     rows = np.arange(n)
     # An infinite or huge epsilon overflows, or gives inf * 0 = NaN at a
     # point on its centre; neither compares below, so no point switches.
@@ -110,7 +110,4 @@ def truncated_responsibilities(lj, sets):
     """
     n, c = lj.shape
     sets = _index_sets(sets, c, n)
-    sub = np.take_along_axis(lj, sets, axis=1)
-    weights = np.exp(sub - logsumexp(sub, axis=1)[:, None])
-    weights = weights / weights.sum(axis=1, keepdims=True)
-    return Responsibilities._on_checked(sets, weights, c)
+    return _posteriors(np.take_along_axis(lj, sets, axis=1), sets, c)

@@ -255,7 +255,7 @@ def test_criterion_6_distortion_identities():
             model, _, _ = m_step_iso(ds, resp)
             j = objective_j(ds, resp, model.means)
             assert abs(j - ds.d * ds.n * model.sigma2) <= 1e-12
-            f_j, l_j, gap_j = appendix_forms(ds, resp, model.means)
+            f_j, l_j, gap_j = appendix_forms(ds, squared_distances(ds, model.means), j)
             f_direct = free_energy_kmeans(4, 2, model.sigma2)
             l_direct = log_likelihood(log_joints(ds, model))
             gap_direct = kl_gap(ds, model, resp)

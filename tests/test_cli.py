@@ -280,6 +280,18 @@ class TestAudit:
         assert report["kind"] == "general"
         assert report["L"] >= report["F"] - 1e-10
 
+    def test_audit_iso_model_builds_distances_and_j_once(self, tmp_path, capsys, monkeypatch):
+        # the closed forms of claim (A) read the audit's own d2 and J
+        data = _generate(tmp_path)
+        model_path = tmp_path / "model.json"
+        fit = ["fit", "--data", str(data), "--algorithm", "kmeans", "--c", "4", "--seed", "1",
+               "--model-out", str(model_path)]
+        assert main(fit) == EXIT_OK
+        d2_calls = count_calls(monkeypatch, "models", "squared_distances")
+        j_calls = count_calls(monkeypatch, "diagnostics", "objective_j")
+        assert main(["audit", "--data", str(data), "--model", str(model_path)]) == EXIT_OK
+        assert (len(d2_calls), len(j_calls)) == (1, 1)
+
     def test_audit_general_model_builds_log_joints_once(self, tmp_path, capsys, monkeypatch):
         data = _generate(tmp_path)
         model_path = tmp_path / "model.json"

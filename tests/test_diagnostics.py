@@ -19,6 +19,7 @@ from tvclust import (
     log_likelihood,
     m_step_iso,
     objective_j,
+    responsibilities_exact,
     run,
     select_nearest,
     squared_distances,
@@ -143,6 +144,13 @@ class TestLogLikelihood:
             state = select_nearest(squared_distances(ds.points, model.means), cp)
             assert ll >= free_energy_trunc(lj, state) - 1e-12
 
+    def test_equals_free_energy_over_the_exact_posteriors_bit_for_bit(self):
+        # exact EM's record takes F over the exact posteriors' support, every
+        # cluster in index order, and reports gap = L - F = 0.0 exactly
+        for seed in range(4):
+            lj = np.random.default_rng(seed).normal(size=(20000, 50))
+            assert free_energy_trunc(lj, responsibilities_exact(lj)) == log_likelihood(lj)
+
 
 class TestKlGap:
     def test_single_cluster_is_zero(self):
@@ -211,14 +219,16 @@ class TestEntropyForm:
 class TestAppendixForms:
     def test_matches_direct_form_on_four_points(self):
         ds, resp, model, _ = four_point_post_iteration()
-        f, l, gap = appendix_forms(ds, resp, model.means)
+        f, l, gap = appendix_forms(
+            ds, squared_distances(ds, model.means), objective_j(ds, resp, model.means)
+        )
         assert f == pytest.approx(free_energy_kmeans(2, 1, 0.25), abs=1e-12)
         assert l == pytest.approx(L_FOUR, abs=1e-12)
         assert gap == pytest.approx(GAP_FOUR, rel=1e-9)
 
     def test_exact_fit_stays_finite(self):
         ds = Dataset([[0.0], [4.0]])
-        f, l, gap = appendix_forms(ds, [0, 1], np.array([[0.0], [4.0]]))
+        f, l, gap = appendix_forms(ds, squared_distances(ds, ds.points), 0.0)
         assert math.isfinite(f) and math.isfinite(l)
 
     def test_bound_holds_on_random_post_iteration_states(self):
@@ -229,7 +239,9 @@ class TestAppendixForms:
             ds = Dataset(rng.normal(size=(n, 2)))
             means = ds.points[rng.choice(n, c, replace=False)]
             resp, new_means, _ = kmeans_step(ds, means)
-            f, l, gap = appendix_forms(ds, resp, new_means)
+            f, l, gap = appendix_forms(
+                ds, squared_distances(ds, new_means), objective_j(ds, resp, new_means)
+            )
             assert l >= f - 1e-10
             assert gap >= -1e-10
 
@@ -243,7 +255,9 @@ class TestAppendixForms:
             state = resp.support
             direct = free_energy_trunc(log_joints(ds, model), state)
             closed = free_energy_kmeans(3, 2, model.sigma2)
-            via_j, _, _ = appendix_forms(ds, resp, model.means)
+            via_j, _, _ = appendix_forms(
+                ds, squared_distances(ds, model.means), objective_j(ds, resp, model.means)
+            )
             assert abs(direct - closed) <= 1e-9
             assert abs(closed - via_j) <= 1e-9
 

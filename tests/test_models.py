@@ -175,6 +175,13 @@ class TestExactResponsibilities:
         b = responsibilities_exact(log_joints(points, gen)).dense()
         assert np.max(np.abs(a - b)) <= 1e-12
 
+    def test_support_is_a_read_only_broadcast_of_every_cluster(self):
+        lj = np.random.default_rng(4).normal(size=(500, 7))
+        support = responsibilities_exact(lj).support
+        assert support.strides[0] == 0
+        assert not support.flags.writeable
+        assert np.array_equal(support, np.tile(np.arange(7), (500, 1)))
+
 
 class TestResponsibilitiesContainer:
     def test_binary_helper(self):
@@ -200,6 +207,13 @@ class TestResponsibilitiesContainer:
             Responsibilities(np.array([[0, 1]]), np.array([[1.0]]), 3)
         with pytest.raises(ConfigurationError, match="nonnegative"):
             Responsibilities(np.array([[0, 1]]), np.array([[1.5, -0.5]]), 3)
+
+    def test_rejects_nan_weights(self):
+        # both checks compare so that NaN fails them
+        with pytest.raises(ConfigurationError, match="nonnegative"):
+            Responsibilities(np.array([[0], [1]]), np.array([[np.nan], [1.0]]), 2)
+        with pytest.raises(ConfigurationError, match="sum to 1"):
+            Responsibilities(np.array([[0, 1]]), np.array([[1.0, np.inf]]), 2)
 
 
 class TestSnapshots:

@@ -3,7 +3,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tvclust import (
     ConfigurationError,
@@ -334,6 +335,21 @@ class TestNearestSelectionOptimality:
         chosen = free_energy_trunc(lj, select_nearest(squared_distances(points, means), 2))
         assert chosen == pytest.approx(best, abs=1e-12)
         assert chosen >= best - 1e-12
+
+
+@given(
+    d2=hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 6), st.integers(1, 5)),
+        elements=st.sampled_from([np.nan, np.inf, -np.inf]) | st.integers(0, 3).map(float),
+    )
+)
+@example(d2=np.array([[np.nan, 1.0, 2.0], [3.0, np.nan, 1.0]]))
+def test_select_nearest_is_stable_argsort_with_nan_and_inf(d2):
+    # every C', C' = 1 included, takes the same fallback for non-finite rows
+    order = np.argsort(d2, axis=1, kind="stable")
+    for c_prime in range(1, d2.shape[1] + 1):
+        assert np.array_equal(select_nearest(d2, c_prime), order[:, :c_prime])
 
 
 @pytest.mark.parametrize("c_prime", [2, 3, 6])
