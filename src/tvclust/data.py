@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, ParseError
-from .models import GeneralGMM, IsotropicGMM, _centre, model_to_snapshot
+from .errors import ConfigurationError, ParseError, check_count
+from .models import GeneralGMM, IsotropicGMM, _as_readonly, _centre, _points_of, model_to_snapshot
 
 GENERATOR_KINDS = ("grid", "uniform", "explicit-gmm")
 
@@ -33,24 +33,18 @@ class Dataset:
     labels: np.ndarray | None = None
 
     def __post_init__(self):
-        points = np.asarray(self.points, dtype=np.float64)
-        if points.ndim == 1:
-            points = points[:, None]
+        points = _points_of(self.points)
         if points.ndim != 2 or points.shape[0] < 1 or points.shape[1] < 1:
             raise ConfigurationError("points must be a non-empty N x D matrix")
         if not np.all(np.isfinite(points)):
             raise ConfigurationError("points must be finite (no NaN/Inf)")
-        points = points.copy()
-        points.setflags(write=False)
-        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "points", _as_readonly(points))
         if self.labels is not None:
-            labels = np.asarray(self.labels, dtype=np.int64)
+            labels = _as_readonly(self.labels, dtype=np.int64)
             if labels.shape != (points.shape[0],):
                 raise ConfigurationError("labels must be one integer per point")
             if np.any(labels < 0):
                 raise ConfigurationError("labels must be nonnegative")
-            labels = labels.copy()
-            labels.setflags(write=False)
             object.__setattr__(self, "labels", labels)
 
     @property
@@ -96,14 +90,11 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in GENERATOR_KINDS:
             raise ConfigurationError(f"unknown generator kind {self.kind!r}")
-        if self.c_true < 1:
-            raise ConfigurationError("c_true must be >= 1")
-        if self.per_cluster_n < 1:
-            raise ConfigurationError("per_cluster_n must be >= 1")
+        check_count("c_true", self.c_true, 1)
+        check_count("per_cluster_n", self.per_cluster_n, 1)
         if not 0.0 < self.gen_sigma < math.inf:
             raise ConfigurationError("gen_sigma must be positive and finite")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        check_count("seed", self.seed, 0)
         for name, kind in (("spacing", "grid"), ("domain_box", "uniform"), ("model", "explicit-gmm")):
             if getattr(self, name) is not None and self.kind != kind:
                 raise ConfigurationError(f"{self.kind} kind does not take {name}")

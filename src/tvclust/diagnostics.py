@@ -22,7 +22,7 @@ alone, so one matrix serves both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -53,16 +53,10 @@ class TraceRecord:
     events: list[str] = field(default_factory=list)
 
     def to_dict(self):
-        return {
-            "iter": self.iteration,
-            "J": self.J,
-            "F": self.F,
-            "L": self.L,
-            "gap": self.gap,
-            "sigma2": self.sigma2,
-            "n_changed": self.n_changed,
-            "events": list(self.events),
-        }
+        """The JSON line's dict: ``iteration`` as ``"iter"``, first, then the
+        other fields in declaration order, ``events`` as a new list."""
+        d = asdict(self)
+        return {"iter": d.pop("iteration"), **d}
 
     @classmethod
     def from_dict(cls, d):
@@ -132,20 +126,17 @@ def log_likelihood(lj):
 def kl_gap(dataset, model, assignments):
     """Closed-form difference between log-likelihood and the hard free energy.
 
-    gap = D/2 + (1/N) sum_n log sum_c exp(-|y^(n)-mu_c|^2 / (2 sigma2)),
-    with sigma2 recomputed from the given assignments and the model means
-    (floored like the fitting loop).  This is the KL divergence between the
-    truncated and exact posteriors; it is nonnegative whenever sigma2
-    satisfies the post-iteration convention, and zero for C = 1.
+    The gap of ``appendix_forms``, claim (A)'s identity
+    gap = D/2 + (1/N) sum_n log sum_c exp(-(D N / 2) d_nc^2 / J),
+    with d_nc^2 the squared distances to the model means and J the
+    distortion of the hard labels of ``assignments`` around them (floored
+    like the fitting loop's sigma2 = J/(D N)).  This is the KL divergence
+    between the truncated and exact posteriors; it is nonnegative whenever
+    sigma2 satisfies the post-iteration convention, and zero for C = 1.
     """
-    resp = _as_responsibilities(assignments, model.c)
-    labels = resp.hard_labels()
+    labels = _as_responsibilities(assignments, model.c).hard_labels()
     d2 = squared_distances(dataset, model.means)
-    n, d = _points_of(dataset).shape
-    sigma2 = max(
-        float(d2[np.arange(n), labels].sum()) / (d * n), sigma2_floor(dataset)
-    )
-    return 0.5 * d + float(np.mean(logsumexp(-d2 / (2.0 * sigma2), axis=1)))
+    return appendix_forms(dataset, d2, float(d2[np.arange(d2.shape[0]), labels].sum()))[2]
 
 
 def free_energy_entropy_form(dataset, resp, sigma2):

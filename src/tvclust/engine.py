@@ -69,7 +69,7 @@ import numpy as np
 
 from .data import Dataset, make_rng
 from .diagnostics import TraceRecord, free_energy_trunc, log_likelihood, objective_j
-from .errors import ConfigurationError, NumericError
+from .errors import ConfigurationError, NumericError, check_count
 from .models import (
     GeneralGMM,
     IsotropicGMM,
@@ -118,23 +118,23 @@ class RunConfig:
     def __post_init__(self):
         if self.algorithm not in _PAIRS:
             raise ConfigurationError(f"unknown algorithm {self.algorithm!r}")
-        if self.c < 1:
-            raise ConfigurationError("c must be >= 1")
+        check_count("c", self.c, 1)
         takes = _PAIRS[self.algorithm][2]
         for name in ("c_prime", "epsilon"):
             given = getattr(self, name) is not None
             if given != (name == takes):
                 verb = "does not take" if given else "requires"
                 raise ConfigurationError(f"{self.algorithm} {verb} {name}")
-        if self.c_prime is not None and not 1 <= self.c_prime <= self.c:
-            raise ConfigurationError("c_prime must be in [1, c]")
+        if self.c_prime is not None:
+            check_count("c_prime", self.c_prime, 1)
+            if self.c_prime > self.c:
+                raise ConfigurationError("c_prime must be in [1, c]")
         if self.epsilon is not None and not self.epsilon >= 0:
             raise ConfigurationError("epsilon must be >= 0")
         if self.seeding not in SEEDINGS:
             raise ConfigurationError(f"unknown seeding {self.seeding!r}")
         for name in ("max_iters", "seed"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be >= 0")
+            check_count(name, getattr(self, name), 0)
         if not self.tol >= 0:
             raise ConfigurationError("tol must be >= 0")
 

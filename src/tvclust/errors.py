@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of a count field."""
+
+import numbers
 
 
 class ConfigurationError(ValueError):
@@ -19,3 +21,10 @@ class NumericError(ArithmeticError):
     def __init__(self, message, trace=None):
         super().__init__(message)
         self.trace = trace
+
+
+def check_count(name, value, low):
+    """Raise ``ConfigurationError`` unless ``value`` is an integer (a Python
+    or numpy one) of at least ``low``; used by every count field."""
+    if not isinstance(value, numbers.Integral) or value < low:
+        raise ConfigurationError(f"{name} must be >= {low} and an integer, got {value!r}")

@@ -19,7 +19,7 @@ import numpy as np
 from .data import GeneratorSpec, generate, load_csv
 from .diagnostics import TraceRecord
 from .engine import RunConfig, run
-from .errors import ConfigurationError, NumericError
+from .errors import ConfigurationError, NumericError, check_count
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,7 @@ class ExperimentSpec:
             raise ConfigurationError(
                 "exactly one dataset source (generator or data_path) is required"
             )
-        if self.restarts < 1:
-            raise ConfigurationError("restarts must be >= 1")
+        check_count("restarts", self.restarts, 1)
 
     def to_dict(self):
         return {

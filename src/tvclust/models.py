@@ -104,7 +104,9 @@ def sigma2_floor(points):
 
 
 def _as_readonly(arr, dtype=np.float64):
-    out = np.array(arr, dtype=dtype)
+    """A read-only C-ordered copy of ``arr``: the one conversion of every
+    array a dataset, model or posterior keeps."""
+    out = np.array(arr, dtype=dtype, order="C")
     out.setflags(write=False)
     return out
 

@@ -45,6 +45,18 @@ class TestDataset:
         with pytest.raises(ValueError):
             ds.points[0, 0] = 5.0
 
+    def test_points_and_labels_are_c_ordered_copies(self):
+        # the layout of the input never reaches the fits' summation order
+        points = np.asfortranarray(np.arange(12.0).reshape(4, 3))
+        labels = np.array([0, 1, 0, 1])
+        ds = Dataset(points, labels)
+        assert ds.points.flags["C_CONTIGUOUS"] and not np.shares_memory(ds.points, points)
+        assert not np.shares_memory(ds.labels, labels) and not ds.labels.flags.writeable
+
+    def test_points_of_a_dataset_are_its_points(self):
+        ds = Dataset([[0.0, 1.0], [2.0, 3.0]])
+        np.testing.assert_array_equal(Dataset(ds).points, ds.points)
+
 
 class TestGeneratorSpec:
     def test_counts_default_to_the_grid_benchmark(self):

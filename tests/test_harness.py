@@ -35,6 +35,40 @@ def small_spec(tmp_path, restarts=3, **config_kwargs):
     )
 
 
+# (owner, count field, a valid value) for every integer count of the package
+COUNT_FIELDS = [
+    (RunConfig, "c", 3),
+    (RunConfig, "c_prime", 2),
+    (RunConfig, "max_iters", 2),
+    (RunConfig, "seed", 1),
+    (GeneratorSpec, "c_true", 4),
+    (GeneratorSpec, "per_cluster_n", 2),
+    (GeneratorSpec, "seed", 1),
+    (ExperimentSpec, "restarts", 2),
+]
+
+
+def with_count(owner, name, value):
+    base = {
+        RunConfig: dict(algorithm="kmeans_cprime", c=3, c_prime=2),
+        GeneratorSpec: dict(kind="grid", c_true=4),
+        ExperimentSpec: dict(config=RunConfig(algorithm="kmeans", c=3), data_path="points.csv"),
+    }[owner]
+    return owner(**{**base, name: value})
+
+
+class TestCountFields:
+    @pytest.mark.parametrize("shift", [0.0, 0.5])
+    @pytest.mark.parametrize("owner,name,ok", COUNT_FIELDS)
+    def test_float_rejected_up_front(self, owner, name, ok, shift):
+        with pytest.raises(ConfigurationError, match=f"^{name} must be >= .* an integer"):
+            with_count(owner, name, ok + shift)
+
+    @pytest.mark.parametrize("owner,name,ok", COUNT_FIELDS)
+    def test_numpy_integer_accepted(self, owner, name, ok):
+        assert getattr(with_count(owner, name, np.int64(ok)), name) == ok
+
+
 class TestEmit:
     def test_trace_round_trip_identical_floats(self, tmp_path):
         records = [
