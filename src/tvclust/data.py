@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -90,11 +90,13 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in GENERATOR_KINDS:
             raise ConfigurationError(f"unknown generator kind {self.kind!r}")
-        check_count("c_true", self.c_true, 1)
-        check_count("per_cluster_n", self.per_cluster_n, 1)
+        store = partial(object.__setattr__, self)
+        store("c_true", check_count("c_true", self.c_true, 1))
+        store("per_cluster_n", check_count("per_cluster_n", self.per_cluster_n, 1))
         if not 0.0 < self.gen_sigma < math.inf:
             raise ConfigurationError("gen_sigma must be positive and finite")
-        check_count("seed", self.seed, 0)
+        store("gen_sigma", float(self.gen_sigma))
+        store("seed", check_count("seed", self.seed, 0))
         for name, kind in (("spacing", "grid"), ("domain_box", "uniform"), ("model", "explicit-gmm")):
             if getattr(self, name) is not None and self.kind != kind:
                 raise ConfigurationError(f"{self.kind} kind does not take {name}")
@@ -104,8 +106,10 @@ class GeneratorSpec:
                 raise ConfigurationError(
                     f"grid kind requires a perfect-square c_true, got {self.c_true}"
                 )
-            if self.spacing is not None and not 0.0 < self.spacing < math.inf:
-                raise ConfigurationError("spacing must be positive and finite")
+            if self.spacing is not None:
+                if not 0.0 < self.spacing < math.inf:
+                    raise ConfigurationError("spacing must be positive and finite")
+                store("spacing", float(self.spacing))
         if self.kind == "uniform":
             if self.domain_box is None:
                 raise ConfigurationError("uniform kind requires domain_box")
@@ -116,6 +120,7 @@ class GeneratorSpec:
                     )
                 if not lo < hi:
                     raise ConfigurationError(f"empty domain_box axis ({lo}, {hi})")
+            store("domain_box", tuple((float(lo), float(hi)) for lo, hi in self.domain_box))
         if self.kind == "explicit-gmm":
             if self.model is None:
                 raise ConfigurationError("explicit-gmm kind requires a model")

@@ -84,7 +84,10 @@ def objective_j(dataset, assignments, means):
     With hard assignments this is the classic distortion
     sum_n sum_c s_c^(n) |y^(n) - mu_c|^2; weighted rows generalize it so
     that J = D * N * sigma2 also holds for non-binary posteriors.  The
-    (N, K) residuals are taken directly, one support column at a time.
+    (N, K) residuals are taken directly, one support column at a time.  The
+    weighted residuals are summed as one C-ordered array, whatever the
+    posteriors' layout, so J's summation order is that of the row-major
+    (N, K) products.
     """
     points = _points_of(dataset)
     means = _points_of(means)
@@ -93,14 +96,16 @@ def objective_j(dataset, assignments, means):
     for k in range(sq.shape[1]):
         diff = points - means[resp.support[:, k]]
         sq[:, k] = np.einsum("nd,nd->n", diff, diff)
-    return float(np.sum(resp.weights * sq))
+    return float(np.sum(np.multiply(resp.weights, sq, order="C")))
 
 
 def free_energy_trunc(lj, sets):
     """(1/N) sum_n log sum_{c in K^(n)} p(c, y^(n)), K^(n) = row n of ``sets``.
 
     ``lj`` holds the (N, C) log-joints log p(c, y^(n)); ``sets`` may be the
-    posteriors themselves, whose support is K^(n).
+    posteriors themselves, whose support is K^(n).  The gather on the
+    column-major sets is column-major too, so each point's log-sum-exp
+    runs as K passes over N.
     """
     n, c = lj.shape
     sub = np.take_along_axis(lj, _index_sets(sets, c, n), axis=1)
@@ -151,7 +156,7 @@ def free_energy_entropy_form(dataset, resp, sigma2):
     """
     points = _points_of(dataset)
     n, d = points.shape
-    w = resp.weights
+    w = np.ascontiguousarray(resp.weights)  # sum in row-major order
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(w > 0.0, w * np.log(w), 0.0)
     mean_entropy = float(-np.sum(terms) / n)

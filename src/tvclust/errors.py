@@ -24,7 +24,10 @@ class NumericError(ArithmeticError):
 
 
 def check_count(name, value, low):
-    """Raise ``ConfigurationError`` unless ``value`` is an integer (a Python
-    or numpy one) of at least ``low``; used by every count field."""
-    if not isinstance(value, numbers.Integral) or value < low:
+    """``value`` as a plain ``int``; raises ``ConfigurationError`` unless it
+    is an integer (a Python or numpy one, not a bool) of at least ``low``.
+    Every count field is stored through it, so a config's ``to_dict`` is
+    JSON-ready."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
         raise ConfigurationError(f"{name} must be >= {low} and an integer, got {value!r}")
+    return int(value)

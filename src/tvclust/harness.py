@@ -37,7 +37,7 @@ class ExperimentSpec:
             raise ConfigurationError(
                 "exactly one dataset source (generator or data_path) is required"
             )
-        check_count("restarts", self.restarts, 1)
+        object.__setattr__(self, "restarts", check_count("restarts", self.restarts, 1))
 
     def to_dict(self):
         return {

@@ -103,10 +103,14 @@ def sigma2_floor(points):
     return max(1e-12 * msq, float(np.finfo(np.float64).tiny))
 
 
-def _as_readonly(arr, dtype=np.float64):
-    """A read-only C-ordered copy of ``arr``: the one conversion of every
-    array a dataset, model or posterior keeps."""
-    out = np.array(arr, dtype=dtype, order="C")
+def _as_readonly(arr, dtype=np.float64, order="C"):
+    """A read-only copy of ``arr`` in memory ``order``: the one conversion of
+    every array a dataset, model or posterior keeps.  Points, means and
+    covariances are C-ordered; an index matrix is column-major (``"F"``)
+    and its posteriors keep the layout they were built in (``"K"``), so
+    that each per-point reduction over a truncation set runs as C' passes
+    over N."""
+    out = np.array(arr, dtype=dtype, order=order)
     out.setflags(write=False)
     return out
 
@@ -172,9 +176,11 @@ class GeneralGMM(_Mixture):
 
 
 def _index_sets(support, c, n=None):
-    """Read-only int64 copy of an (N, K) index matrix whose rows hold 1 to C
-    distinct indices in [0, C), with ``n`` rows when ``n`` is given; raises
-    ``ConfigurationError`` otherwise.
+    """Read-only, column-major int64 copy of an (N, K) index matrix whose
+    rows hold 1 to C distinct indices in [0, C), with ``n`` rows when ``n``
+    is given; raises ``ConfigurationError`` otherwise.  Distinctness is
+    checked by scattering every row into one (N, C) boolean map: the rows
+    are distinct exactly when the map holds N K true entries.
 
     A ``Responsibilities`` over C clusters stands for its support, which was
     checked when it was built, so it is not checked again.
@@ -182,7 +188,7 @@ def _index_sets(support, c, n=None):
     if isinstance(support, Responsibilities) and support.n_clusters == c:
         support = support.support
     else:
-        support = _as_readonly(getattr(support, "support", support), dtype=np.int64)
+        support = _as_readonly(getattr(support, "support", support), dtype=np.int64, order="F")
         if support.ndim != 2 or not 1 <= support.shape[1] <= c:
             raise ConfigurationError(
                 f"index sets must be an (N, K) matrix, 1 <= K <= {c}"
@@ -190,8 +196,9 @@ def _index_sets(support, c, n=None):
         if np.any(support < 0) or np.any(support >= c):
             raise ConfigurationError(f"cluster indices must lie in [0, {c})")
         if support.shape[1] > 1:
-            srt = np.sort(support, axis=1)
-            if np.any(srt[:, 1:] == srt[:, :-1]):
+            seen = np.zeros(support.shape[0] * c, dtype=bool)
+            seen[support + c * np.arange(support.shape[0])[:, None]] = True
+            if np.count_nonzero(seen) != support.size:
                 raise ConfigurationError("cluster indices must be distinct per point")
     if n is not None and support.shape[0] != n:
         raise ConfigurationError(
@@ -207,7 +214,9 @@ class Responsibilities:
     ``support[n]``, the truncation set K^(n), lists the clusters carrying
     mass for point n and ``weights[n]`` the matching probabilities (each
     row sums to 1).  Hard assignments use a single column of weight 1;
-    dense posteriors list every cluster.
+    dense posteriors list every cluster.  A truncated support and its
+    weights are column-major, so a sum over each point's set is C' passes
+    over N; exact EM's broadcast support keeps C-ordered weights.
     """
 
     support: np.ndarray  # (N, K) int64
@@ -218,7 +227,7 @@ class Responsibilities:
         self._set(_index_sets(self.support, self.n_clusters), self.weights)
 
     def _set(self, support, weights):
-        weights = _as_readonly(weights)
+        weights = _as_readonly(weights, order="K")
         if support.shape != weights.shape:
             raise ConfigurationError("support and weights must share shape (N, K)")
         # Written so that a NaN weight fails both checks.
@@ -300,7 +309,8 @@ def log_joints(points, model, d2=None):
 def _posteriors(sub, support, n_clusters):
     """The posteriors over ``support``, an index matrix that ``_index_sets``
     has checked, from ``sub``, the log-joints gathered on it: each row's
-    max-shifted softmax.  Every selection rule builds its posteriors here."""
+    max-shifted softmax, in the memory layout of ``sub``.  Every selection
+    rule builds its posteriors here."""
     weights = np.exp(sub - logsumexp(sub, axis=1)[:, None])
     weights = weights / weights.sum(axis=1, keepdims=True)
     resp = object.__new__(Responsibilities)

@@ -1,8 +1,11 @@
 """Per-point truncation sets and the criteria that update them.
 
 The truncation sets K^(n), the clusters allowed to carry posterior mass,
-form one (N, C') int64 index matrix: the posteriors' ``support``.  Three
-update criteria are provided:
+form one (N, C') int64 index matrix: the posteriors' ``support``.  It is
+column-major (Fortran order), as are the log-joints gathered on it and the
+posteriors built from them, so numpy runs every per-point max, sum and
+normalisation over K^(n) as C' vectorised passes over the N points rather
+than N reductions of C' values each.  Three update criteria are provided:
 
 * nearest-C' selection (full variational E-step; optimal for the isotropic
   equal-weight model),
@@ -34,10 +37,11 @@ def select_nearest(d2, c_prime):
     ``d2`` is any (N, C) rank matrix: the squared distances to the means,
     where this choice maximizes the truncated free energy of the isotropic
     model over all admissible truncation configurations, or
-    ``sigma_pi_scores(lj)`` for the general model.  Returns an owned
-    (N, C') matrix, lowest first, ties toward the smaller index: the first
-    C' columns of a stable argsort of ``d2``.  It is built by C' passes of
-    ``argmin``, which returns the first minimum.  The first pass reads
+    ``sigma_pi_scores(lj)`` for the general model.  Returns an owned,
+    column-major (N, C') matrix, lowest first, ties toward the smaller
+    index: the first C' columns of a stable argsort of ``d2``.  It is built
+    by C' passes of ``argmin``, which returns the first minimum, each
+    filling one column.  The first pass reads
     ``d2`` itself; each later one masks the previous pick to ``inf`` in a
     copy, made once, so C' = 1 copies nothing.  A row whose pick is not
     finite (fewer than C' finite entries, or a NaN, which ``argmin`` picks
@@ -48,7 +52,7 @@ def select_nearest(d2, c_prime):
         raise ConfigurationError(f"c_prime must be in [1, {c}], got {c_prime}")
     work = d2
     rows = np.arange(n)
-    order = np.empty((n, c_prime), dtype=np.int64)
+    order = np.empty((n, c_prime), dtype=np.int64, order="F")
     finite = np.ones(n, dtype=bool)
     for j in range(c_prime):
         if j:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from tvclust import Dataset, GeneratorSpec, generate
+from tvclust import Dataset, GeneratorSpec, free_energy_kmeans, generate, logsumexp
 
 settings.register_profile(
     "default",
@@ -54,6 +54,73 @@ def log_joints_loop(points, model):
         logdet = d * math.log(2.0 * math.pi) + 2.0 * np.sum(np.log(np.diag(chol)))
         out[:, c] = logw[c] - 0.5 * (logdet + maha)
     return out
+
+
+def _gather_rows(lj, sets):
+    """C-ordered gather of ``lj`` on the index matrix ``sets``."""
+    return np.ascontiguousarray(np.take_along_axis(lj, np.ascontiguousarray(sets), axis=1))
+
+
+def posteriors_rows(lj, sets):
+    """Oracle for the truncated posteriors as row-major code computes them:
+    the gather, its log-sum-exp and the normalising sum all reduce each
+    C-ordered row on its own."""
+    sub = _gather_rows(lj, sets)
+    w = np.exp(sub - logsumexp(sub, axis=1)[:, None])
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def free_energy_rows(lj, sets):
+    """Oracle for the truncated free energy over C-ordered rows."""
+    return float(np.mean(logsumexp(_gather_rows(lj, sets), axis=1)))
+
+
+def _column_sum(a):
+    """Each row's sum, added left to right one column at a time."""
+    total = a[:, 0].copy()
+    for k in range(1, a.shape[1]):
+        total = total + a[:, k]
+    return total
+
+
+def _logsumexp_columns(sub):
+    amax = np.max(sub, axis=1, keepdims=True)
+    amax = np.where(np.isfinite(amax), amax, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.log(_column_sum(np.exp(sub - amax))) + amax[:, 0]
+
+
+def posteriors_columns(lj, sets):
+    """Oracle for the truncated posteriors with every per-point sum taken
+    sequentially over the set's columns."""
+    sub = np.take_along_axis(lj, sets, axis=1)
+    w = np.exp(sub - _logsumexp_columns(sub)[:, None])
+    return w / _column_sum(w)[:, None]
+
+
+def free_energy_columns(lj, sets):
+    """Oracle for the truncated free energy with column-sequential sums."""
+    return float(np.mean(_logsumexp_columns(np.take_along_axis(lj, sets, axis=1))))
+
+
+def objective_j_rows(points, support, weights, means):
+    """Oracle for J over an explicit support: the weighted squared
+    residuals summed as one C-ordered (N, K) array."""
+    sq = np.empty(support.shape)
+    for k in range(sq.shape[1]):
+        diff = points - means[support[:, k]]
+        sq[:, k] = np.einsum("nd,nd->n", diff, diff)
+    return float(np.sum(np.ascontiguousarray(weights) * sq))
+
+
+def entropy_form_rows(points, weights, n_clusters, sigma2):
+    """Oracle for ``free_energy_entropy_form``: the hard closed form plus
+    the entropy terms summed as one C-ordered (N, K) array."""
+    n, d = points.shape
+    w = np.ascontiguousarray(weights)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(w > 0.0, w * np.log(w), 0.0)
+    return free_energy_kmeans(n_clusters, d, sigma2) + float(-np.sum(terms) / n)
 
 
 def blob_dataset(seed, c_true=4, per_cluster_n=40, box=10.0, gen_sigma=1.0):

@@ -66,7 +66,34 @@ class TestCountFields:
 
     @pytest.mark.parametrize("owner,name,ok", COUNT_FIELDS)
     def test_numpy_integer_accepted(self, owner, name, ok):
-        assert getattr(with_count(owner, name, np.int64(ok)), name) == ok
+        value = getattr(with_count(owner, name, np.int64(ok)), name)
+        assert value == ok and type(value) is int
+
+    @pytest.mark.parametrize("flag", [False, True])
+    @pytest.mark.parametrize("owner,name,ok", COUNT_FIELDS)
+    def test_bool_rejected(self, owner, name, ok, flag):
+        with pytest.raises(ConfigurationError, match=f"^{name} must be >= .* an integer"):
+            with_count(owner, name, flag)
+
+    def test_numpy_scalars_echo_as_plain_numbers(self, tmp_path):
+        tol, sigma = float(np.float32(1e-9)), float(np.float32(0.8))
+        echoes = []
+        for wrap, wrap_float in ((int, float), (np.uint8, np.float32)):
+            spec = ExperimentSpec(
+                config=RunConfig(algorithm="kmeans_cprime", c=wrap(3), c_prime=wrap(2),
+                                 max_iters=wrap(5), tol=wrap_float(tol), seed=wrap(7)),
+                restarts=wrap(2),
+                out_dir=tmp_path,
+                generator=GeneratorSpec(
+                    kind="uniform", c_true=wrap(3), per_cluster_n=wrap(20),
+                    gen_sigma=wrap_float(sigma),
+                    domain_box=((wrap_float(0.0), wrap_float(10.0)),) * 2, seed=wrap(5),
+                ),
+            )
+            run_experiment(spec)
+            echoes.append(json.loads((tmp_path / "summary.json").read_text())["config_echo"])
+        assert echoes[0] == echoes[1]
+        assert echoes[0]["config"]["tol"] == tol and echoes[0]["generator"]["gen_sigma"] == sigma
 
 
 class TestEmit:

@@ -10,18 +10,33 @@ from tvclust import (
     ConfigurationError,
     GeneralGMM,
     IsotropicGMM,
+    Responsibilities,
+    RunConfig,
+    free_energy_entropy_form,
     free_energy_trunc,
     lazy_reassign,
     log_joints,
     logsumexp,
+    objective_j,
     responsibilities_exact,
+    run,
     select_nearest,
     sigma_pi_scores,
     squared_distances,
     truncated_responsibilities,
 )
+from tvclust.engine import _set_key
+from tvclust.models import _index_sets
 
-from conftest import random_instance
+from conftest import (
+    entropy_form_rows,
+    free_energy_columns,
+    free_energy_rows,
+    objective_j_rows,
+    posteriors_columns,
+    posteriors_rows,
+    random_instance,
+)
 
 
 class TestSelectNearest:
@@ -367,3 +382,85 @@ def test_select_nearest_rows_holding_inf(c_prime):
     assert np.array_equal(got, np.argsort(d2, axis=1, kind="stable")[:, :c_prime])
     assert all(len(set(row)) == c_prime for row in got.tolist())
     assert np.array_equal(d2, before, equal_nan=True)
+
+
+class TestColumnMajorSets:
+    """Index matrices and their posteriors are column-major, so each
+    per-point sum over a set runs as K passes over N, left to right.  For
+    K <= 7 that is the association numpy uses on a C-ordered row, so the
+    bits are those of row-major code; the full-array sums of J and of the
+    entropy form keep their row-major order for every K."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 30),
+        c=st.integers(1, 12),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    )
+    def test_same_bits_for_either_input_layout(self, seed, n, c, scale):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, c + 1))
+        lj = rng.normal(size=(n, c)) * scale
+        sets = np.argsort(rng.random((n, c)), axis=1)[:, :k]
+        points, means = rng.normal(size=(n, 2)), rng.normal(size=(c, 2))
+        got = []
+        for order in "CF":
+            lj_o, sets_o = np.array(lj, order=order), np.array(sets, order=order)
+            resp = truncated_responsibilities(lj_o, sets_o)
+            assert resp.support.flags.f_contiguous and resp.weights.flags.f_contiguous
+            post = Responsibilities(sets_o, np.array(resp.weights, order=order), c)
+            got.append((
+                resp.weights.tobytes(order="C"),
+                free_energy_trunc(lj_o, sets_o),
+                objective_j(points, post, means),
+                free_energy_entropy_form(points, post, 0.5),
+            ))
+        assert got[0] == got[1]
+        weights, f, j, entropy_form = got[0]
+        assert weights == posteriors_columns(lj, sets).tobytes()
+        assert f == free_energy_columns(lj, sets)
+        assert j == objective_j_rows(points, sets, posteriors_columns(lj, sets), means)
+        assert entropy_form == entropy_form_rows(points, posteriors_columns(lj, sets), c, 0.5)
+        if k <= 7:
+            assert weights == posteriors_rows(lj, sets).tobytes()
+            assert f == free_energy_rows(lj, sets)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 20),
+        c=st.integers(1, 9),
+        repeats=st.integers(0, 3),
+    )
+    def test_distinctness_check_matches_sorted_rows(self, seed, n, c, repeats):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, c + 1))
+        sets = np.argsort(rng.random((n, c)), axis=1)[:, :k]
+        for _ in range(repeats if n and k > 1 else 0):
+            row, src, dst = rng.integers(n), *rng.choice(k, size=2, replace=False)
+            sets[row, dst] = sets[row, src]
+        srt = np.sort(sets, axis=1)
+        if np.any(srt[:, 1:] == srt[:, :-1]):
+            with pytest.raises(ConfigurationError, match="^cluster indices must be distinct per point$"):
+                _index_sets(sets, c, n)
+        else:
+            assert np.array_equal(_index_sets(sets, c, n), sets)
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_set_key_sorts_each_set(self, k):
+        # insertion network up to _NETWORK_MAX columns, a row sort beyond
+        rng = np.random.default_rng(k)
+        sets = np.argsort(rng.random((500, 12)), axis=1)[:, :k]
+        resp = truncated_responsibilities(rng.normal(size=(500, 12)), sets)
+        key = _set_key(resp, "nearest")
+        assert np.array_equal(key, np.sort(sets, axis=1)) and key.flags.f_contiguous
+        assert np.array_equal(resp.support, sets)
+
+    def test_select_nearest_and_run_keep_the_layout(self):
+        # a stray C-ordered copy would silently bring back per-row reductions
+        rng = np.random.default_rng(3)
+        points = rng.normal(size=(60, 2))
+        d2 = squared_distances(points, points[:5])
+        assert select_nearest(d2, 2).flags.f_contiguous
+        resp = run(points, RunConfig(algorithm="kmeans_cprime", c=5, c_prime=2, max_iters=3)).responsibilities
+        for arr in (resp.support, resp.weights):
+            assert arr.flags.f_contiguous and not arr.flags.c_contiguous
