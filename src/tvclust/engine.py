@@ -416,30 +416,10 @@ def _rel_change(old, new):
     return float(np.max(np.abs(b - a))) / max(1.0, float(np.max(np.abs(a))))
 
 
-_NETWORK_MAX = 7  # widest set ``_set_key`` sorts with compare-exchanges
-
-
 def _set_key(resp, rule):
     """What ``n_changed`` compares: each point's sorted set, or its hard
-    shadow label for exact EM.  ``run`` carries the last one.
-
-    The column-major support of up to ``_NETWORK_MAX`` columns is sorted by
-    an insertion network of compare-exchanges between adjacent columns,
-    each two vector passes over N; a wider one by ``np.sort`` per row,
-    which was faster there (2500 and 5000 points, 8 or more columns).
-    """
-    if rule == "full":
-        return resp.hard_labels()[:, None]
-    key = np.array(resp.support, order="F")
-    if key.shape[1] > _NETWORK_MAX:
-        key.sort(axis=1)
-        return key
-    for i in range(1, key.shape[1]):
-        for j in range(i, 0, -1):
-            lo = np.minimum(key[:, j - 1], key[:, j])
-            np.maximum(key[:, j - 1], key[:, j], out=key[:, j])
-            key[:, j - 1] = lo
-    return key
+    shadow label for exact EM.  ``run`` carries the last one."""
+    return resp.hard_labels()[:, None] if rule == "full" else np.sort(resp.support, axis=1)
 
 
 def _matrices(dataset, model):

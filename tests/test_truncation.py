@@ -447,7 +447,6 @@ class TestColumnMajorSets:
 
     @pytest.mark.parametrize("k", range(1, 11))
     def test_set_key_sorts_each_set(self, k):
-        # insertion network up to _NETWORK_MAX columns, a row sort beyond
         rng = np.random.default_rng(k)
         sets = np.argsort(rng.random((500, 12)), axis=1)[:, :k]
         resp = truncated_responsibilities(rng.normal(size=(500, 12)), sets)
