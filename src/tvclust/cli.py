@@ -60,22 +60,20 @@ def _given(**values):
     return {name: value for name, value in values.items() if value is not None}
 
 
-# The generator flags after --gen-kind, as ``args`` attributes.
-_GEN_FLAGS = ("gen_c_true", "gen_per_cluster_n", "gen_sigma", "gen_spacing", "gen_box", "gen_seed")
+# Each generator flag, as its ``args`` attribute, and the ``GeneratorSpec``
+# field it sets.
+_GEN_FLAGS = {"gen_kind": "kind", "gen_c_true": "c_true", "gen_per_cluster_n": "per_cluster_n",
+              "gen_sigma": "gen_sigma", "gen_spacing": "spacing", "gen_box": "domain_box",
+              "gen_seed": "seed"}
 
 
 def _generator_spec(args):
     """The spec of the generator flags given; every other field keeps its
     ``GeneratorSpec`` default."""
-    return GeneratorSpec(**_given(
-        kind=args.gen_kind,
-        c_true=args.gen_c_true,
-        per_cluster_n=args.gen_per_cluster_n,
-        gen_sigma=args.gen_sigma,
-        spacing=args.gen_spacing,
-        domain_box=None if args.gen_box is None else _parse_box(args.gen_box),
-        seed=args.gen_seed,
-    ))
+    values = _given(**{name: getattr(args, flag) for flag, name in _GEN_FLAGS.items()})
+    if "domain_box" in values:
+        values["domain_box"] = _parse_box(values["domain_box"])
+    return GeneratorSpec(**values)
 
 
 def _add_run_args(parser):
@@ -133,9 +131,9 @@ def _cmd_experiment(args):
         raise ConfigurationError(
             "experiment requires exactly one of --data or --gen-kind"
         )
-    given = [name for name in _GEN_FLAGS if getattr(args, name) is not None]
+    given = [flag for flag in _GEN_FLAGS if getattr(args, flag) is not None]
     if args.data is not None and given:
-        flags = ", ".join("--" + name.replace("_", "-") for name in given)
+        flags = ", ".join("--" + flag.replace("_", "-") for flag in given)
         raise ConfigurationError(f"experiment with --data does not take {flags}")
     spec = ExperimentSpec(
         config=_run_config(args),

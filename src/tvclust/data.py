@@ -8,14 +8,14 @@ its spec (including the seed), so runs and traces reproduce exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError, ParseError, check_count
-from .models import GeneralGMM, IsotropicGMM, _as_readonly, _centre, _points_of, model_to_snapshot
+from .models import GeneralGMM, IsotropicGMM, _as_readonly, _centre, _matrix_of, model_to_snapshot
 
 GENERATOR_KINDS = ("grid", "uniform", "explicit-gmm")
 
@@ -33,15 +33,10 @@ class Dataset:
     labels: np.ndarray | None = None
 
     def __post_init__(self):
-        points = _points_of(self.points)
-        if points.ndim != 2 or points.shape[0] < 1 or points.shape[1] < 1:
-            raise ConfigurationError("points must be a non-empty N x D matrix")
-        if not np.all(np.isfinite(points)):
-            raise ConfigurationError("points must be finite (no NaN/Inf)")
-        object.__setattr__(self, "points", _as_readonly(points))
+        object.__setattr__(self, "points", _matrix_of(self.points, "points", "N"))
         if self.labels is not None:
             labels = _as_readonly(self.labels, dtype=np.int64)
-            if labels.shape != (points.shape[0],):
+            if labels.shape != (self.n,):
                 raise ConfigurationError("labels must be one integer per point")
             if np.any(labels < 0):
                 raise ConfigurationError("labels must be nonnegative")
@@ -130,18 +125,14 @@ class GeneratorSpec:
                 )
 
     def to_dict(self):
-        return {
-            "kind": self.kind,
-            "c_true": self.c_true,
-            "per_cluster_n": self.per_cluster_n,
-            "gen_sigma": self.gen_sigma,
-            "spacing": self.spacing,
-            "domain_box": None
-            if self.domain_box is None
-            else [list(ax) for ax in self.domain_box],
-            "seed": self.seed,
-            "model": None if self.model is None else model_to_snapshot(self.model),
-        }
+        """The fields in declaration order, ``domain_box`` as lists and
+        ``model`` as its snapshot."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.domain_box is not None:
+            d["domain_box"] = [list(ax) for ax in self.domain_box]
+        if self.model is not None:
+            d["model"] = model_to_snapshot(self.model)
+        return d
 
 
 def _components(spec, rng):

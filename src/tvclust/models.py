@@ -14,6 +14,10 @@ Cholesky factors, so no (N, C, D) temporary is built.  ``log_joints`` may
 be given the squared distances it is built from, and
 ``responsibilities_exact`` reads the log-joints alone, which lets one
 iteration of the fitting loop build each of its N x C matrices once.
+
+Every matrix a dataset or model keeps (points, means) is converted and
+checked by ``_matrix_of`` alone, and ``_SNAPSHOTS`` alone says which fields
+each family's snapshot holds and in which order.
 """
 
 from __future__ import annotations
@@ -115,6 +119,19 @@ def _as_readonly(arr, dtype=np.float64, order="C"):
     return out
 
 
+def _matrix_of(arr, name, rows):
+    """``arr`` as a read-only 2-D float matrix (1-D means one column);
+    raises ``ConfigurationError`` unless it is non-empty and finite.  The
+    one check of a dataset's points and of either family's means;
+    ``rows`` names the row count in the message (``"N"``, ``"C"``)."""
+    out = _as_readonly(_points_of(arr))
+    if out.ndim != 2 or out.size == 0:
+        raise ConfigurationError(f"{name} must be a non-empty {rows} x D matrix")
+    if not np.all(np.isfinite(out)):
+        raise ConfigurationError(f"{name} must be finite")
+    return out
+
+
 class _Mixture:
     """Shape accessors shared by both model families."""
 
@@ -135,15 +152,10 @@ class IsotropicGMM(_Mixture):
     sigma2: float
 
     def __post_init__(self):
-        means = _as_readonly(_points_of(self.means))
-        if means.ndim != 2 or means.size == 0:
-            raise ConfigurationError("means must be a non-empty C x D matrix")
-        if not np.all(np.isfinite(means)):
-            raise ConfigurationError("means must be finite")
+        object.__setattr__(self, "means", _matrix_of(self.means, "means", "C"))
         sigma2 = float(self.sigma2)
         if not (sigma2 > 0.0 and math.isfinite(sigma2)):
             raise ConfigurationError(f"sigma2 must be positive and finite, got {sigma2}")
-        object.__setattr__(self, "means", means)
         object.__setattr__(self, "sigma2", sigma2)
 
 
@@ -156,22 +168,20 @@ class GeneralGMM(_Mixture):
     covs: np.ndarray  # (C, D, D)
 
     def __post_init__(self):
+        object.__setattr__(self, "means", _matrix_of(self.means, "means", "C"))
         weights = _as_readonly(np.atleast_1d(self.weights))
-        means = _as_readonly(_points_of(self.means))
         covs = _as_readonly(self.covs)
         if covs.ndim != 3 or covs.shape[1] != covs.shape[2]:
             raise ConfigurationError("covs must have shape (C, D, D)")
-        c, d = means.shape
-        if weights.shape != (c,) or covs.shape != (c, d, d):
+        if weights.shape != (self.c,) or covs.shape != (self.c, self.d, self.d):
             raise ConfigurationError("weights, means and covs disagree on C or D")
         if np.any(weights < 0.0) or not np.all(np.isfinite(weights)):
             raise ConfigurationError("weights must be nonnegative and finite")
         if abs(float(weights.sum()) - 1.0) > 1e-9:
             raise ConfigurationError(f"weights must sum to 1, got {weights.sum()!r}")
-        if not np.all(np.isfinite(means)) or not np.all(np.isfinite(covs)):
+        if not np.all(np.isfinite(covs)):
             raise ConfigurationError("means and covs must be finite")
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "means", means)
         object.__setattr__(self, "covs", covs)
 
 
@@ -179,8 +189,8 @@ def _index_sets(support, c, n=None):
     """Read-only, column-major int64 copy of an (N, K) index matrix whose
     rows hold 1 to C distinct indices in [0, C), with ``n`` rows when ``n``
     is given; raises ``ConfigurationError`` otherwise.  Distinctness is
-    checked by scattering every row into one (N, C) boolean map: the rows
-    are distinct exactly when the map holds N K true entries.
+    checked column by column, each against the columns before it: K - 1
+    comparisons of (N, k) blocks, with no (N, C) buffer.
 
     A ``Responsibilities`` over C clusters stands for its support, which was
     checked when it was built, so it is not checked again.
@@ -195,10 +205,8 @@ def _index_sets(support, c, n=None):
             )
         if np.any(support < 0) or np.any(support >= c):
             raise ConfigurationError(f"cluster indices must lie in [0, {c})")
-        if support.shape[1] > 1:
-            seen = np.zeros(support.shape[0] * c, dtype=bool)
-            seen[support + c * np.arange(support.shape[0])[:, None]] = True
-            if np.count_nonzero(seen) != support.size:
+        for k in range(1, support.shape[1]):
+            if np.any(support[:, :k] == support[:, k, None]):
                 raise ConfigurationError("cluster indices must be distinct per point")
     if n is not None and support.shape[0] != n:
         raise ConfigurationError(
@@ -334,33 +342,30 @@ def regularize_covariances(covs):
     return covs + lam[:, None, None] * np.eye(d)
 
 
+# Each snapshot kind: its model class and its fields, in snapshot order
+# (after ``"kind"``).
+_SNAPSHOTS = {
+    "iso": (IsotropicGMM, ("means", "sigma2")),
+    "general": (GeneralGMM, ("means", "weights", "covs")),
+}
+
+
 def model_to_snapshot(model):
-    """JSON-ready dict for either model family."""
-    if isinstance(model, IsotropicGMM):
-        return {
-            "kind": "iso",
-            "means": model.means.tolist(),
-            "sigma2": model.sigma2,
-        }
-    return {
-        "kind": "general",
-        "means": model.means.tolist(),
-        "weights": model.weights.tolist(),
-        "covs": model.covs.tolist(),
-    }
+    """JSON-ready dict for either model family: its kind, then the fields
+    ``_SNAPSHOTS`` lists for it, arrays as nested lists."""
+    for kind, (cls, names) in _SNAPSHOTS.items():
+        if isinstance(model, cls):
+            return {"kind": kind, **{n: np.asarray(getattr(model, n)).tolist() for n in names}}
+    raise TypeError(f"not a mixture model: {model!r}")
 
 
 def model_from_snapshot(snapshot):
-    kind = snapshot.get("kind")
-    if kind == "iso":
-        return IsotropicGMM(np.asarray(snapshot["means"]), float(snapshot["sigma2"]))
-    if kind == "general":
-        return GeneralGMM(
-            np.asarray(snapshot["weights"]),
-            np.asarray(snapshot["means"]),
-            np.asarray(snapshot["covs"]),
-        )
-    raise ConfigurationError(f"unknown model kind {kind!r}")
+    """The model a snapshot dict describes, built from the fields
+    ``_SNAPSHOTS`` lists for its kind; the model's class checks them."""
+    for kind, (cls, names) in _SNAPSHOTS.items():
+        if snapshot.get("kind") == kind:
+            return cls(**{name: snapshot[name] for name in names})
+    raise ConfigurationError(f"unknown model kind {snapshot.get('kind')!r}")
 
 
 def save_model(model, path):

@@ -385,9 +385,13 @@ class TestAudit:
             (dict(GENERAL, weights=[0.5, 0.5]), "disagree on C or D"),
             (dict(GENERAL, weights=[-0.5]), "weights must be nonnegative and finite"),
             (dict(GENERAL, covs=[[[NAN, 0.0], [0.0, 1.0]]]), "means and covs must be finite"),
+            (dict(GENERAL, means=5), "non-empty C x D matrix"),
+            (dict(GENERAL, means=[[[0.0, 0.0]]]), "non-empty C x D matrix"),
+            (dict(GENERAL, means=[]), "non-empty C x D matrix"),
         ],
         ids=["iso_empty_means", "iso_nan_means", "general_covs_2d", "general_c_mismatch",
-             "general_negative_weight", "general_nan_cov"],
+             "general_negative_weight", "general_nan_cov", "general_scalar_means",
+             "general_3d_means", "general_empty_means"],
     )
     def test_invalid_model_message(self, tmp_path, capsys, snapshot, words):
         data = _generate(tmp_path)  # 2-D points

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 from tvclust import (
     ConfigurationError,
     GeneralGMM,
+    GeneratorSpec,
     IsotropicGMM,
     NumericError,
     Responsibilities,
@@ -121,6 +123,18 @@ class TestGeneralJoint:
     def test_weights_must_normalize(self):
         with pytest.raises(ConfigurationError):
             GeneralGMM(np.array([0.5, 0.3]), np.zeros((2, 1)), np.ones((2, 1, 1)))
+
+    @pytest.mark.parametrize(
+        "means", [np.float64(1.0), np.ones((1, 1, 1)), np.zeros((0, 1))],
+        ids=["scalar", "3d", "empty"],
+    )
+    @pytest.mark.parametrize(
+        "build", [lambda m: IsotropicGMM(m, 1.0), lambda m: GeneralGMM([1.0], m, [[[1.0]]])],
+        ids=["iso", "general"],
+    )
+    def test_malformed_means_are_config_errors(self, build, means):
+        with pytest.raises(ConfigurationError, match="means must be a non-empty C x D matrix"):
+            build(means)
 
 
 class TestExactResponsibilities:
@@ -237,6 +251,32 @@ class TestSnapshots:
     def test_unknown_kind(self):
         with pytest.raises(ConfigurationError):
             model_from_snapshot({"kind": "mystery"})
+
+    def test_json_text_keeps_its_key_order(self):
+        """Model files, audit reports and experiment summaries hold these
+        dicts; their text, key order included, is part of the format."""
+        iso = IsotropicGMM(np.array([[0.5, -1.0], [2.0, 3.0]]), 0.1)
+        general = GeneralGMM([0.25, 0.75], [[0.0], [1.0]], [[[1.0]], [[2.0]]])
+        cases = [
+            (model_to_snapshot(iso),
+             '{"kind": "iso", "means": [[0.5, -1.0], [2.0, 3.0]], "sigma2": 0.1}'),
+            (model_to_snapshot(general),
+             '{"kind": "general", "means": [[0.0], [1.0]], "weights": [0.25, 0.75], '
+             '"covs": [[[1.0]], [[2.0]]]}'),
+            (GeneratorSpec("grid", c_true=4, spacing=3.0).to_dict(),
+             '{"kind": "grid", "c_true": 4, "per_cluster_n": 100, "gen_sigma": 1.0, '
+             '"spacing": 3.0, "domain_box": null, "seed": 0, "model": null}'),
+            (GeneratorSpec("uniform", c_true=2, domain_box=((0, 1), (-2.5, 4))).to_dict(),
+             '{"kind": "uniform", "c_true": 2, "per_cluster_n": 100, "gen_sigma": 1.0, '
+             '"spacing": null, "domain_box": [[0.0, 1.0], [-2.5, 4.0]], "seed": 0, '
+             '"model": null}'),
+            (GeneratorSpec("explicit-gmm", c_true=2, seed=7, model=general).to_dict(),
+             '{"kind": "explicit-gmm", "c_true": 2, "per_cluster_n": 100, "gen_sigma": 1.0, '
+             '"spacing": null, "domain_box": null, "seed": 7, "model": {"kind": "general", '
+             '"means": [[0.0], [1.0]], "weights": [0.25, 0.75], "covs": [[[1.0]], [[2.0]]]}}'),
+        ]
+        for value, text in cases:
+            assert json.dumps(value) == text
 
 
 def test_squared_distances_matches_loops():
