@@ -389,7 +389,9 @@ class TestColumnMajorSets:
     per-point sum over a set runs as K passes over N, left to right.  For
     K <= 7 that is the association numpy uses on a C-ordered row, so the
     bits are those of row-major code; the full-array sums of J and of the
-    entropy form keep their row-major order for every K."""
+    entropy form keep their row-major order for every K.  A single point's
+    set is one contiguous row in either layout, so numpy sums it as a row:
+    for N = 1 the bits are those of row-major code for every K."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -397,6 +399,7 @@ class TestColumnMajorSets:
         c=st.integers(1, 12),
         scale=st.sampled_from([1e-3, 1.0, 1e3]),
     )
+    @example(seed=0, n=1, c=9, scale=1.0)  # one point, K = 9: a row sum
     def test_same_bits_for_either_input_layout(self, seed, n, c, scale):
         rng = np.random.default_rng(seed)
         k = int(rng.integers(1, c + 1))
@@ -417,10 +420,14 @@ class TestColumnMajorSets:
             ))
         assert got[0] == got[1]
         weights, f, j, entropy_form = got[0]
-        assert weights == posteriors_columns(lj, sets).tobytes()
-        assert f == free_energy_columns(lj, sets)
-        assert j == objective_j_rows(points, sets, posteriors_columns(lj, sets), means)
-        assert entropy_form == entropy_form_rows(points, posteriors_columns(lj, sets), c, 0.5)
+        if n == 1:
+            expect_w, expect_f = posteriors_rows(lj, sets), free_energy_rows(lj, sets)
+        else:
+            expect_w, expect_f = posteriors_columns(lj, sets), free_energy_columns(lj, sets)
+        assert weights == expect_w.tobytes()
+        assert f == expect_f
+        assert j == objective_j_rows(points, sets, expect_w, means)
+        assert entropy_form == entropy_form_rows(points, expect_w, c, 0.5)
         if k <= 7:
             assert weights == posteriors_rows(lj, sets).tobytes()
             assert f == free_energy_rows(lj, sets)
