@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, ParseError, check_count
+from .errors import ConfigurationError, ParseError, check_count, check_real
 from .models import GeneralGMM, IsotropicGMM, _as_readonly, _centre, _matrix_of, model_to_snapshot
 
 GENERATOR_KINDS = ("grid", "uniform", "explicit-gmm")
@@ -35,9 +35,10 @@ class Dataset:
     def __post_init__(self):
         object.__setattr__(self, "points", _matrix_of(self.points, "points", "N"))
         if self.labels is not None:
-            labels = _as_readonly(self.labels, dtype=np.int64)
-            if labels.shape != (self.n,):
+            labels = np.asarray(self.labels)
+            if labels.dtype.kind not in "iu" or labels.shape != (self.n,):
                 raise ConfigurationError("labels must be one integer per point")
+            labels = _as_readonly(labels, dtype=np.int64)
             if np.any(labels < 0):
                 raise ConfigurationError("labels must be nonnegative")
             object.__setattr__(self, "labels", labels)
@@ -88,9 +89,7 @@ class GeneratorSpec:
         store = partial(object.__setattr__, self)
         store("c_true", check_count("c_true", self.c_true, 1))
         store("per_cluster_n", check_count("per_cluster_n", self.per_cluster_n, 1))
-        if not 0.0 < self.gen_sigma < math.inf:
-            raise ConfigurationError("gen_sigma must be positive and finite")
-        store("gen_sigma", float(self.gen_sigma))
+        store("gen_sigma", check_real("gen_sigma", self.gen_sigma, positive=True))
         store("seed", check_count("seed", self.seed, 0))
         for name, kind in (("spacing", "grid"), ("domain_box", "uniform"), ("model", "explicit-gmm")):
             if getattr(self, name) is not None and self.kind != kind:
@@ -102,20 +101,18 @@ class GeneratorSpec:
                     f"grid kind requires a perfect-square c_true, got {self.c_true}"
                 )
             if self.spacing is not None:
-                if not 0.0 < self.spacing < math.inf:
-                    raise ConfigurationError("spacing must be positive and finite")
-                store("spacing", float(self.spacing))
+                store("spacing", check_real("spacing", self.spacing, positive=True))
         if self.kind == "uniform":
             if self.domain_box is None:
                 raise ConfigurationError("uniform kind requires domain_box")
-            for lo, hi in self.domain_box:
-                if not all(map(math.isfinite, (lo, hi, hi - lo))):
-                    raise ConfigurationError(
-                        f"domain_box axis ({lo}, {hi}) must be finite with a finite width"
-                    )
-                if not lo < hi:
-                    raise ConfigurationError(f"empty domain_box axis ({lo}, {hi})")
-            store("domain_box", tuple((float(lo), float(hi)) for lo, hi in self.domain_box))
+            try:
+                axes = [(lo, hi, hi - lo) for lo, hi in self.domain_box]
+            except (TypeError, ValueError):
+                raise ConfigurationError("domain_box axes must be (lo, hi) pairs of numbers") from None
+            for lo, hi, width in axes:
+                # a finite positive width means both bounds are finite and lo < hi
+                check_real(f"domain_box axis ({lo}, {hi}) width", width, positive=True)
+            store("domain_box", tuple((float(lo), float(hi)) for lo, hi, _ in axes))
         if self.kind == "explicit-gmm":
             if self.model is None:
                 raise ConfigurationError("explicit-gmm kind requires a model")

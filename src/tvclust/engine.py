@@ -70,7 +70,7 @@ import numpy as np
 
 from .data import Dataset, make_rng
 from .diagnostics import TraceRecord, free_energy_trunc, log_likelihood, objective_j
-from .errors import ConfigurationError, NumericError, check_count
+from .errors import ConfigurationError, NumericError, check_count, check_real
 from .models import (
     GeneralGMM,
     IsotropicGMM,
@@ -134,16 +134,12 @@ class RunConfig:
             if self.c_prime > self.c:
                 raise ConfigurationError("c_prime must be in [1, c]")
         if self.epsilon is not None:
-            if not self.epsilon >= 0:
-                raise ConfigurationError("epsilon must be >= 0")
-            store("epsilon", float(self.epsilon))
+            store("epsilon", check_real("epsilon", self.epsilon))
         if self.seeding not in SEEDINGS:
             raise ConfigurationError(f"unknown seeding {self.seeding!r}")
         for name in ("max_iters", "seed"):
             store(name, check_count(name, getattr(self, name), 0))
-        if not self.tol >= 0:
-            raise ConfigurationError("tol must be >= 0")
-        store("tol", float(self.tol))
+        store("tol", check_real("tol", self.tol))
 
     def to_dict(self):
         return asdict(self)
@@ -163,12 +159,19 @@ class FitResult:
 # seeding
 
 
-def seed_uniform(dataset, c, rng):
-    """c distinct data points drawn uniformly without replacement."""
+def _seeding_points(dataset, c):
+    """The points to seed ``c`` centers from and N; raises
+    ``ConfigurationError`` unless ``c`` is a count with ``1 <= c <= N``."""
     points = _points_of(dataset)
     n = points.shape[0]
-    if not 1 <= c <= n:
+    if check_count("c", c, 1) > n:
         raise ConfigurationError(f"need 1 <= c <= N, got c={c}, N={n}")
+    return points, n
+
+
+def seed_uniform(dataset, c, rng):
+    """c distinct data points drawn uniformly without replacement."""
+    points, n = _seeding_points(dataset, c)
     idx = rng.choice(n, size=c, replace=False)
     return points[idx].copy()
 
@@ -176,19 +179,18 @@ def seed_uniform(dataset, c, rng):
 def seed_dsquared(dataset, c, rng, initial=None):
     """Distance-squared weighted seeding.
 
-    The first center is uniform (or forced via ``initial``); each further
-    center is a data point drawn with probability proportional to its
-    squared distance to the nearest center chosen so far.  If all remaining
-    mass is zero (duplicate data), falls back to a uniform draw among the
-    indices not yet chosen.  Raises ``NumericError`` if the squared
-    distances overflow, so the mass is not finite.
+    The first center is uniform, or the point of index ``initial`` (a count
+    below N); each further center is a data point drawn with probability
+    proportional to its squared distance to the nearest center chosen so
+    far.  If all remaining mass is zero (duplicate data), falls back to a
+    uniform draw among the indices not yet chosen.  Raises
+    ``NumericError`` if the squared distances overflow, so the mass is not
+    finite.
     """
-    points = _points_of(dataset)
-    n = points.shape[0]
-    if not 1 <= c <= n:
-        raise ConfigurationError(f"need 1 <= c <= N, got c={c}, N={n}")
-    chosen = np.empty(c, dtype=np.int64)
-    chosen[0] = int(rng.integers(n)) if initial is None else int(initial)
+    points, n = _seeding_points(dataset, c)
+    chosen = [int(rng.integers(n)) if initial is None else check_count("initial", initial, 0)]
+    if chosen[0] >= n:
+        raise ConfigurationError(f"need 0 <= initial < N, got initial={initial}, N={n}")
     min_d2 = squared_distances(dataset, points[chosen[:1]])[:, 0]
     for k in range(1, c):
         total = float(min_d2.sum())
@@ -199,7 +201,7 @@ def seed_dsquared(dataset, c, rng, initial=None):
         else:
             remaining = np.setdiff1d(np.arange(n), chosen[:k])
             idx = int(remaining[rng.integers(remaining.size)])
-        chosen[k] = idx
+        chosen.append(idx)
         min_d2 = np.minimum(
             min_d2, squared_distances(dataset, points[idx : idx + 1])[:, 0]
         )

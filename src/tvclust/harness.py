@@ -55,16 +55,16 @@ def restart_seed(base_seed, index):
 
 
 def _worker_count():
+    """The pool size: ``TVEM_THREADS`` if set, else the CPUs this process
+    may run on (its affinity mask, where ``os`` can read one)."""
     raw = os.environ.get("TVEM_THREADS", "").strip()
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ConfigurationError(f"TVEM_THREADS must be an integer, got {raw!r}")
-        if value < 1:
-            raise ConfigurationError("TVEM_THREADS must be >= 1")
-        return value
-    return os.cpu_count() or 1
+    if not raw:
+        return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ConfigurationError(f"TVEM_THREADS must be an integer, got {raw!r}") from None
+    return check_count("TVEM_THREADS", value, 1)
 
 
 def emit(obj, path):

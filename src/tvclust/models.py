@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError, ParseError
+from .errors import ConfigurationError, NumericError, ParseError, check_real
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -153,10 +153,7 @@ class IsotropicGMM(_Mixture):
 
     def __post_init__(self):
         object.__setattr__(self, "means", _matrix_of(self.means, "means", "C"))
-        sigma2 = float(self.sigma2)
-        if not (sigma2 > 0.0 and math.isfinite(sigma2)):
-            raise ConfigurationError(f"sigma2 must be positive and finite, got {sigma2}")
-        object.__setattr__(self, "sigma2", sigma2)
+        object.__setattr__(self, "sigma2", check_real("sigma2", float(self.sigma2), positive=True))
 
 
 @dataclass(frozen=True)
@@ -180,7 +177,7 @@ class GeneralGMM(_Mixture):
         if abs(float(weights.sum()) - 1.0) > 1e-9:
             raise ConfigurationError(f"weights must sum to 1, got {weights.sum()!r}")
         if not np.all(np.isfinite(covs)):
-            raise ConfigurationError("means and covs must be finite")
+            raise ConfigurationError("covs must be finite")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "covs", covs)
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_count, check_real
 from .models import _index_sets, _posteriors
 
 
@@ -48,7 +48,7 @@ def select_nearest(d2, c_prime):
     first) is sorted stably instead.
     """
     n, c = d2.shape
-    if not 1 <= c_prime <= c:
+    if check_count("c_prime", c_prime, 1) > c:
         raise ConfigurationError(f"c_prime must be in [1, {c}], got {c_prime}")
     work = d2
     rows = np.arange(n)
@@ -77,8 +77,7 @@ def lazy_reassign(d2, epsilon, sets):
     defined for singleton sets; combining the lazy rule with C' > 1 has no
     agreed semantics and is rejected.
     """
-    if not epsilon >= 0:
-        raise ConfigurationError("epsilon must be nonnegative")
+    epsilon = check_real("epsilon", epsilon)
     n, c = d2.shape
     sets = _index_sets(sets, c, n)
     if sets.shape[1] != 1:

@@ -384,7 +384,7 @@ class TestAudit:
             (dict(GENERAL, covs=[[1.0, 0.0], [0.0, 1.0]]), "covs must have shape (C, D, D)"),
             (dict(GENERAL, weights=[0.5, 0.5]), "disagree on C or D"),
             (dict(GENERAL, weights=[-0.5]), "weights must be nonnegative and finite"),
-            (dict(GENERAL, covs=[[[NAN, 0.0], [0.0, 1.0]]]), "means and covs must be finite"),
+            (dict(GENERAL, covs=[[[NAN, 0.0], [0.0, 1.0]]]), "error: covs must be finite"),
             (dict(GENERAL, means=5), "non-empty C x D matrix"),
             (dict(GENERAL, means=[[[0.0, 0.0]]]), "non-empty C x D matrix"),
             (dict(GENERAL, means=[]), "non-empty C x D matrix"),

@@ -35,10 +35,19 @@ class TestDataset:
 
     def test_labels_validated(self):
         Dataset([[0.0], [1.0]], labels=[0, 1])
+        labels = Dataset([[0.0], [1.0]], labels=np.array([1, 0], dtype=np.uint8)).labels
+        assert labels.dtype == np.int64 and labels.tolist() == [1, 0]
         with pytest.raises(ConfigurationError):
             Dataset([[0.0], [1.0]], labels=[0, -1])
         with pytest.raises(ConfigurationError):
             Dataset([[0.0], [1.0]], labels=[0])
+
+    @pytest.mark.parametrize(
+        "labels", [[0.5, 1.7], [0.0, 1.0], ["a", "b"], [False, True], [None, None], [1j, 0j]]
+    )
+    def test_labels_must_be_integers(self, labels):
+        with pytest.raises(ConfigurationError, match="^labels must be one integer per point$"):
+            Dataset([[0.0], [1.0]], labels=labels)
 
     def test_points_are_immutable(self):
         ds = Dataset([[0.0], [1.0]])
@@ -502,12 +511,20 @@ def test_uniform_empty_box_axis_rejected():
 
 
 @pytest.mark.parametrize(
-    "axis", [(0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan), (-1e308, 1e308)]
+    "axis", [(0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan), (-1e308, 1e308), (0.0, 1j)]
 )
 def test_uniform_box_must_be_finite_with_finite_width(axis):
     # numpy's uniform draw overflows on an infinite box or width
     with pytest.raises(ConfigurationError):
         GeneratorSpec(kind="uniform", c_true=2, per_cluster_n=5, domain_box=((0.0, 1.0), axis))
+
+
+@pytest.mark.parametrize(
+    "box", [((0.0,),), ((0.0, 1.0, 2.0),), (("0", "1"),), ((0.0, "1"),), ((None, 1.0),), (0.0,)]
+)
+def test_uniform_box_axes_must_be_pairs_of_numbers(box):
+    with pytest.raises(ConfigurationError, match="^domain_box axes must be"):
+        GeneratorSpec(kind="uniform", c_true=1, per_cluster_n=5, domain_box=box)
 
 
 def test_negative_seed_rejected():

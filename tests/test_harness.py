@@ -1,19 +1,29 @@
 import json
+import math
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tvclust import (
     ConfigurationError,
     ExperimentSpec,
     GeneratorSpec,
+    IsotropicGMM,
     RunConfig,
     TraceRecord,
     emit,
+    lazy_reassign,
     load_trace,
+    make_rng,
     run_experiment,
+    seed_dsquared,
+    seed_uniform,
+    select_nearest,
 )
-from tvclust.harness import restart_seed
+from tvclust.harness import _worker_count, restart_seed
 
 
 def small_spec(tmp_path, restarts=3, **config_kwargs):
@@ -94,6 +104,102 @@ class TestCountFields:
             echoes.append(json.loads((tmp_path / "summary.json").read_text())["config_echo"])
         assert echoes[0] == echoes[1]
         assert echoes[0]["config"]["tol"] == tol and echoes[0]["generator"]["gen_sigma"] == sigma
+
+
+def _threads(value):
+    with mock.patch.dict(os.environ, {"TVEM_THREADS": str(value)}):
+        return _worker_count()
+
+
+def _called(function, *args, **kwargs):
+    """Store nothing: a function argument is only checked."""
+    function(*args, **kwargs)
+
+
+_D2 = np.array([[0.0, 1.0, 4.0], [4.0, 1.0, 0.0]])
+
+# Every scalar field: its rule ("count" >= 0, "count1" >= 1, "real" >= 0 or
+# "positive" and finite), a function that sets it and returns what was
+# stored (None where nothing is stored), a valid value, and the bad values
+# beyond its rule's own (an upper bound).
+SCALAR_FIELDS = {
+    **{
+        f"{owner.__name__}.{name}": (
+            "count" if name in ("max_iters", "seed") else "count1",
+            lambda v, owner=owner, name=name: getattr(with_count(owner, name, v), name),
+            ok,
+            [4] if name == "c_prime" else [],
+        )
+        for owner, name, ok in COUNT_FIELDS
+    },
+    "RunConfig.tol": ("real", lambda v: RunConfig(algorithm="kmeans", c=2, tol=v).tol, 0.5, []),
+    "RunConfig.epsilon": (
+        "real", lambda v: RunConfig(algorithm="lazy_kmeans", c=2, epsilon=v).epsilon, 0.5, []
+    ),
+    "GeneratorSpec.gen_sigma": (
+        "positive", lambda v: GeneratorSpec(kind="grid", c_true=4, gen_sigma=v).gen_sigma, 0.5, []
+    ),
+    "GeneratorSpec.spacing": (
+        "positive", lambda v: GeneratorSpec(kind="grid", c_true=4, spacing=v).spacing, 0.5, []
+    ),
+    "select_nearest.c_prime": ("count1", lambda v: _called(select_nearest, _D2, v), 2, [4]),
+    "lazy_reassign.epsilon": (
+        "real", lambda v: _called(lazy_reassign, _D2, v, np.zeros((2, 1), int)), 0.5, []
+    ),
+    **{
+        f"{seeding.__name__}.c": (
+            "count1",
+            lambda v, seeding=seeding: _called(seeding, [[0.0], [1.0], [5.0]], v, make_rng(0)),
+            2,
+            [4],
+        )
+        for seeding in (seed_uniform, seed_dsquared)
+    },
+    "seed_dsquared.initial": (
+        "count",
+        lambda v: _called(seed_dsquared, [[0.0], [0.0], [5.0]], 3, make_rng(0), initial=v),
+        1,
+        [3],
+    ),
+    "TVEM_THREADS": ("count1", _threads, 2, []),
+    "IsotropicGMM.sigma2": ("positive", lambda v: IsotropicGMM([[0.0]], v).sigma2, 0.5, []),
+}
+
+_NOT_NUMBERS = ["0.5", None, True, False, 1 + 0j]
+_RULE_BAD = {
+    "count": [math.nan, -1, -math.inf, math.inf, 2.5],
+    "count1": [math.nan, -1, -math.inf, math.inf, 2.5, 0],
+    "real": [math.nan, -1.0, -math.inf],
+    "positive": [math.nan, -1.0, -math.inf, 0.0, math.inf],
+}
+
+# None leaves these two fields to their default, a uniform first center and
+# 4 * gen_sigma, so it is not a bad value there.
+_NONE_IS_DEFAULT = ("GeneratorSpec.spacing", "seed_dsquared.initial")
+# sigma2 goes through float() first, so that a snapshot's non-number
+# "sigma2" stays a parse error (float's own ValueError or TypeError); only
+# numbers reach its check, so only numbers are drawn for it.
+_NUMBERS_ONLY = ("IsotropicGMM.sigma2",)
+_BAD_CASES = [
+    (field, bad)
+    for field, (rule, _, _, beyond) in SCALAR_FIELDS.items()
+    for bad in (_NOT_NUMBERS if field not in _NUMBERS_ONLY else []) + _RULE_BAD[rule] + beyond
+    if not (bad is None and field in _NONE_IS_DEFAULT)
+]
+
+
+class TestScalarFields:
+    @settings(max_examples=2 * len(_BAD_CASES))
+    @given(case=st.sampled_from(_BAD_CASES))
+    def test_bad_values_are_configuration_errors(self, case):
+        field, bad = case
+        rule, store, ok, _ = SCALAR_FIELDS[field]
+        with pytest.raises(ConfigurationError) as err:
+            store(bad)
+        assert type(err.value) is ConfigurationError
+        plain = int if rule.startswith("count") else float
+        stored = store((np.int32 if plain is int else np.float32)(ok))
+        assert stored is None or (type(stored) is plain and stored == ok)
 
 
 class TestEmit:
@@ -199,6 +305,11 @@ class TestRunExperiment:
         for i in range(4):
             name = f"trace_{i:03d}.jsonl"
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_pool_defaults_to_the_cpus_the_process_may_use(self, monkeypatch):
+        monkeypatch.delenv("TVEM_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert _worker_count() == 1
 
     def test_bad_thread_env_rejected(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TVEM_THREADS", "plenty")
