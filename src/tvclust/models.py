@@ -272,12 +272,11 @@ def log_joints(points, model, d2=None):
     - d2 / (2 sigma2), with ``d2`` the squared distances to the means
     (computed unless given).  For the general model it is log pi_c
     - (1/2) log|2 pi Sigma_c| - (1/2) |L_c^{-1} (y - mu_c)|^2, L_c the
-    Cholesky factor of Sigma_c.  All C factors and their D x D inverses
-    come from one batched ``cholesky`` and one batched ``solve``; the
-    covariance itself is never inverted.  Each cluster then whitens its
-    residuals with one product by its inverse factor.  Raises
-    ``NumericError`` naming the first cluster whose covariance is not
-    positive definite.
+    Cholesky factor of Sigma_c.  One loop over the clusters fills the
+    columns: each factors its covariance, inverts the D x D factor (the
+    covariance itself is never inverted) and whitens its residuals with one
+    product by that inverse.  Raises ``NumericError`` naming the first
+    cluster whose covariance is not positive definite.
     """
     if isinstance(model, IsotropicGMM):
         if d2 is None:
@@ -289,25 +288,17 @@ def log_joints(points, model, d2=None):
         return np.subtract(norm, out, out=out)
     points = _points_of(points)
     n, d = points.shape
-    try:
-        chol = np.linalg.cholesky(model.covs)
-    except np.linalg.LinAlgError:
-        for c in range(model.c):
-            try:
-                np.linalg.cholesky(model.covs[c])
-            except np.linalg.LinAlgError:
-                raise NumericError(
-                    f"covariance of cluster {c} is not positive definite"
-                ) from None
-        raise
-    inv = np.linalg.solve(chol, np.broadcast_to(np.eye(d), chol.shape))
-    logdet = d * _LOG_2PI + 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
     with np.errstate(divide="ignore"):
         logw = np.log(model.weights)
     out = np.empty((n, model.c))
     for c in range(model.c):
-        z = (points - model.means[c]) @ inv[c].T
-        out[:, c] = logw[c] - 0.5 * (np.einsum("nd,nd->n", z, z) + logdet[c])
+        try:
+            chol = np.linalg.cholesky(model.covs[c])
+        except np.linalg.LinAlgError:
+            raise NumericError(f"covariance of cluster {c} is not positive definite") from None
+        z = (points - model.means[c]) @ np.linalg.solve(chol, np.eye(d)).T
+        logdet = d * _LOG_2PI + 2.0 * np.sum(np.log(np.diagonal(chol)))
+        out[:, c] = logw[c] - 0.5 * (np.einsum("nd,nd->n", z, z) + logdet)
     return out
 
 
