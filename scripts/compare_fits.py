@@ -19,20 +19,24 @@ fits are byte-identical (trace and all hashes), the fits whose exact
 fields differ (record count, ``iter``, ``n_changed``, ``events``, stop
 reason, failure, dataset hash, audit hash), and the largest relative
 change of ``J``, ``F``, ``L``, ``gap`` and ``sigma2`` (absolute below
-magnitude 1).  One more line follows per fit whose exact fields differ.
-The exit status is 1 if any exact field differs, a fit is missing, or a
-float moves by more than ``--rtol``:
+magnitude 1), overall and for each dataset/setting group that has a fit
+which is not byte-identical, beside the number of such fits.  One more
+line follows per fit whose exact fields differ.  The exit status is 1 if
+any exact field differs, a fit is missing, or a float moves by more than
+``--rtol``:
 
     PYTHONPATH=src python scripts/compare_fits.py --compare before.jsonl after.jsonl
+
+Output piped into a reader that closes early (``| head``) ends quietly.
 """
 
 import argparse
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
-from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -164,25 +168,28 @@ def _rel(a, b):
 def compare(path_a, path_b, rtol):
     a, b = _load(path_a), _load(path_b)
     missing = sorted(set(a) ^ set(b))
-    differ, changed = [], Counter()
+    differ, changed = [], {}
     worst, worst_fit, identical = 0.0, None, 0
     for fit in sorted(set(a) & set(b)):
         la, lb = a[fit], b[fit]
         fields = [k for k in EXACT_LINE if la.get(k) != lb.get(k)]
         if len(la["trace"]) != len(lb["trace"]):
             fields.append("records")
+        fit_worst = 0.0
         for ra, rb in zip(la["trace"], lb["trace"]):
             fields += [f"{ra['iter']}:{k}" for k in EXACT if ra[k] != rb[k]]
-            for k in FLOATS:
-                rel = _rel(ra[k], rb[k])
-                if rel > worst:
-                    worst, worst_fit = rel, fit
+            fit_worst = max(fit_worst, *(_rel(ra[k], rb[k]) for k in FLOATS))
+        if fit_worst > worst:
+            worst, worst_fit = fit_worst, fit
         if fields:
             differ.append({"fit": fit, "fields": fields})
         if la == lb:
             identical += 1
         else:
-            changed["/".join(fit.split("/")[:2])] += 1
+            group = changed.setdefault("/".join(fit.split("/")[:2]),
+                                       {"fits": 0, "max_rel_change": 0.0})
+            group["fits"] += 1
+            group["max_rel_change"] = max(group["max_rel_change"], fit_worst)
     print(json.dumps({
         "fits": len(set(a) & set(b)),
         "missing": missing,
@@ -209,4 +216,10 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except BrokenPipeError:
+        # The reader closed early: point stdout at devnull so that the
+        # flush at exit does not fail again, and end quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)

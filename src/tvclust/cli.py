@@ -160,10 +160,6 @@ def _cmd_experiment(args):
 def _cmd_audit(args):
     dataset = load_csv(args.data)
     model = load_model(args.model)
-    if model.d != dataset.d:
-        raise ConfigurationError(
-            f"model dimension {model.d} does not match data dimension {dataset.d}"
-        )
     iso = isinstance(model, IsotropicGMM)
     with np.errstate(over="ignore"):
         d2, lj = _matrices(dataset, model)

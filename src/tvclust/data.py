@@ -105,11 +105,14 @@ class GeneratorSpec:
         if self.kind == "uniform":
             if self.domain_box is None:
                 raise ConfigurationError("uniform kind requires domain_box")
+            pairs = "domain_box axes must be (lo, hi) pairs of numbers"
             try:
                 axes = [(lo, hi, hi - lo) for lo, hi in self.domain_box]
             except (TypeError, ValueError):
-                raise ConfigurationError("domain_box axes must be (lo, hi) pairs of numbers") from None
+                raise ConfigurationError(pairs) from None
             for lo, hi, width in axes:
+                if isinstance(lo, bool) or isinstance(hi, bool):
+                    raise ConfigurationError(pairs)
                 # a finite positive width means both bounds are finite and lo < hi
                 check_real(f"domain_box axis ({lo}, {hi}) width", width, positive=True)
             store("domain_box", tuple((float(lo), float(hi)) for lo, hi, _ in axes))

@@ -29,6 +29,7 @@ import numpy as np
 from .models import (
     Responsibilities,
     _index_sets,
+    _means_of,
     _points_of,
     binary_responsibilities,
     logsumexp,
@@ -72,10 +73,14 @@ class TraceRecord:
         )
 
 
-def _as_responsibilities(assignments, n_clusters):
-    if isinstance(assignments, Responsibilities):
-        return assignments
-    return binary_responsibilities(np.asarray(assignments), n_clusters)
+def _as_responsibilities(assignments, n_clusters, n):
+    """``assignments``, posteriors or hard labels, as posteriors over
+    ``n_clusters`` clusters; raises ``ConfigurationError`` unless they have
+    ``n`` rows, one per point."""
+    if not isinstance(assignments, Responsibilities):
+        assignments = binary_responsibilities(assignments, n_clusters)
+    _index_sets(assignments, n_clusters, n)
+    return assignments
 
 
 def objective_j(dataset, assignments, means):
@@ -90,8 +95,8 @@ def objective_j(dataset, assignments, means):
     (N, K) products.
     """
     points = _points_of(dataset)
-    means = _points_of(means)
-    resp = _as_responsibilities(assignments, means.shape[0])
+    means = _means_of(means, points.shape[1])
+    resp = _as_responsibilities(assignments, means.shape[0], points.shape[0])
     sq = np.empty(resp.support.shape)
     for k in range(sq.shape[1]):
         diff = points - means[resp.support[:, k]]
@@ -139,8 +144,8 @@ def kl_gap(dataset, model, assignments):
     between the truncated and exact posteriors; it is nonnegative whenever
     sigma2 satisfies the post-iteration convention, and zero for C = 1.
     """
-    labels = _as_responsibilities(assignments, model.c).hard_labels()
     d2 = squared_distances(dataset, model.means)
+    labels = _as_responsibilities(assignments, model.c, d2.shape[0]).hard_labels()
     return appendix_forms(dataset, d2, float(d2[np.arange(d2.shape[0]), labels].sum()))[2]
 
 
@@ -154,8 +159,8 @@ def free_energy_entropy_form(dataset, resp, sigma2):
     point of the iteration; away from the fixed point it is a lower bound
     (the posteriors at the new parameters differ from q).
     """
-    points = _points_of(dataset)
-    n, d = points.shape
+    n, d = _points_of(dataset).shape
+    _index_sets(resp, resp.n_clusters, n)
     w = np.ascontiguousarray(resp.weights)  # sum in row-major order
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(w > 0.0, w * np.log(w), 0.0)

@@ -75,6 +75,7 @@ from .models import (
     GeneralGMM,
     IsotropicGMM,
     Responsibilities,
+    _index_sets,
     _points_of,
     binary_responsibilities,
     log_joints,
@@ -254,8 +255,10 @@ def _weighted_means(points, resp, w):
     significant bits to carry a mean or a covariance.  ``empty`` lists those clusters, which
     ``_worst_fit`` reseeds, one event each.  Their posteriors sum to less
     than that float, so the isotropic models' recorded free energy cannot
-    visibly move.
+    visibly move.  Raises ``ConfigurationError`` unless ``resp`` has one row
+    per point: the one row check of both M-steps and of the kernels.
     """
+    _index_sets(resp, resp.n_clusters, points.shape[0])
     mass = w.sum(axis=0)
     wsum = _blocked_tdot(w, points)
     kept = mass >= np.finfo(float).tiny

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError, ParseError, check_real
+from .errors import ConfigurationError, NumericError, ParseError, check_count, check_real
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -77,6 +77,19 @@ def _frame(points):
     return frame if frame is not None else _centre(_points_of(points))
 
 
+def _means_of(means, d):
+    """``means`` as a C x D matrix (1-D means one column); raises
+    ``ConfigurationError`` unless D is ``d``, the data's dimension.  The one
+    check of the means where they meet the data: the squared distances,
+    the general log-joints and J."""
+    means = _points_of(means)
+    if means.shape[1] != d:
+        raise ConfigurationError(
+            f"model dimension {means.shape[1]} does not match data dimension {d}"
+        )
+    return means
+
+
 def squared_distances(points, means):
     """Pairwise squared Euclidean distances, shape (N, C).
 
@@ -87,7 +100,7 @@ def squared_distances(points, means):
     NaN entries, which callers report as a ``NumericError``.
     """
     centre, y, yy = _frame(points)
-    mu = _points_of(means) - centre
+    mu = _means_of(means, y.shape[1]) - centre
     with np.errstate(over="ignore", invalid="ignore"):
         out = y @ mu.T
         out *= -2.0
@@ -183,9 +196,9 @@ class GeneralGMM(_Mixture):
 
 
 def _index_sets(support, c, n=None):
-    """Read-only, column-major int64 copy of an (N, K) index matrix whose
-    rows hold 1 to C distinct indices in [0, C), with ``n`` rows when ``n``
-    is given; raises ``ConfigurationError`` otherwise.  Distinctness is
+    """Read-only, column-major int64 copy of an (N, K) integer index matrix
+    (not bools) whose rows hold 1 to C distinct indices in [0, C), with
+    ``n`` rows when ``n`` is given; raises ``ConfigurationError`` otherwise.  Distinctness is
     checked column by column, each against the columns before it: K - 1
     comparisons of (N, k) blocks, with no (N, C) buffer.
 
@@ -195,7 +208,10 @@ def _index_sets(support, c, n=None):
     if isinstance(support, Responsibilities) and support.n_clusters == c:
         support = support.support
     else:
-        support = _as_readonly(getattr(support, "support", support), dtype=np.int64, order="F")
+        support = np.asarray(getattr(support, "support", support))
+        if support.dtype.kind not in "iu":
+            raise ConfigurationError("cluster indices must be integers")
+        support = _as_readonly(support, dtype=np.int64, order="F")
         if support.ndim != 2 or not 1 <= support.shape[1] <= c:
             raise ConfigurationError(
                 f"index sets must be an (N, K) matrix, 1 <= K <= {c}"
@@ -229,6 +245,7 @@ class Responsibilities:
     n_clusters: int
 
     def __post_init__(self):
+        object.__setattr__(self, "n_clusters", check_count("n_clusters", self.n_clusters, 1))
         self._set(_index_sets(self.support, self.n_clusters), self.weights)
 
     def _set(self, support, weights):
@@ -260,9 +277,10 @@ class Responsibilities:
 
 
 def binary_responsibilities(labels, n_clusters):
-    """Hard assignments as a one-column ``Responsibilities``."""
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1, 1)
-    return Responsibilities(labels, np.ones_like(labels, dtype=np.float64), n_clusters)
+    """Hard assignments, one integer label per point, as a one-column
+    ``Responsibilities``."""
+    labels = np.reshape(labels, (-1, 1))
+    return Responsibilities(labels, np.ones(labels.shape), n_clusters)
 
 
 def log_joints(points, model, d2=None):
@@ -288,6 +306,7 @@ def log_joints(points, model, d2=None):
         return np.subtract(norm, out, out=out)
     points = _points_of(points)
     n, d = points.shape
+    _means_of(model.means, d)
     with np.errstate(divide="ignore"):
         logw = np.log(model.weights)
     out = np.empty((n, model.c))

@@ -520,7 +520,9 @@ def test_uniform_box_must_be_finite_with_finite_width(axis):
 
 
 @pytest.mark.parametrize(
-    "box", [((0.0,),), ((0.0, 1.0, 2.0),), (("0", "1"),), ((0.0, "1"),), ((None, 1.0),), (0.0,)]
+    "box",
+    [((0.0,),), ((0.0, 1.0, 2.0),), (("0", "1"),), ((0.0, "1"),), ((None, 1.0),), (0.0,),
+     ((False, True),), ((0.0, True),)],
 )
 def test_uniform_box_axes_must_be_pairs_of_numbers(box):
     with pytest.raises(ConfigurationError, match="^domain_box axes must be"):

@@ -12,6 +12,7 @@ from tvclust import (
     ExperimentSpec,
     GeneratorSpec,
     IsotropicGMM,
+    Responsibilities,
     RunConfig,
     TraceRecord,
     emit,
@@ -163,6 +164,9 @@ SCALAR_FIELDS = {
     ),
     "TVEM_THREADS": ("count1", _threads, 2, []),
     "IsotropicGMM.sigma2": ("positive", lambda v: IsotropicGMM([[0.0]], v).sigma2, 0.5, []),
+    "Responsibilities.n_clusters": (
+        "count1", lambda v: Responsibilities([[0]], [[1.0]], v).n_clusters, 2, []
+    ),
 }
 
 _NOT_NUMBERS = ["0.5", None, True, False, 1 + 0j]

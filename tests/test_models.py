@@ -13,12 +13,21 @@ from tvclust import (
     NumericError,
     Responsibilities,
     binary_responsibilities,
+    free_energy_entropy_form,
+    free_energy_trunc,
+    kl_gap,
+    kmeans_step,
     log_joints,
     logsumexp,
+    m_step_general,
+    m_step_iso,
     model_from_snapshot,
     model_to_snapshot,
+    objective_j,
     responsibilities_exact,
     squared_distances,
+    truncated_responsibilities,
+    tvem_step,
 )
 
 from conftest import log_density_iso, log_joints_loop
@@ -401,3 +410,56 @@ class TestZeroWeightComponents:
         )
         assert resp.support.shape == (1, 2)
         assert resp.dense().tolist() == [[0.25, 0.0, 0.75, 0.0]]
+
+
+
+# Where posteriors, labels or means meet the data: 4 points in two
+# dimensions, two clusters.
+_PTS = np.array([[0.0, 0.0], [0.0, 1.0], [5.0, 5.0], [5.0, 6.0]])
+_MEANS = np.array([[0.0, 0.5], [5.0, 5.5]])
+_ISO = IsotropicGMM(_MEANS, 1.0)
+_LJ = log_joints(_PTS, _ISO)
+_ONE_COL, _THREE_COL = np.zeros((2, 1)), np.zeros((2, 3))
+_THREE_ROWS = binary_responsibilities([0, 0, 1], 2)
+_DIM = "^model dimension {} does not match data dimension 2$"
+_INTS = "^cluster indices must be integers$"
+_ROWS = "^index sets have 3 rows for 4 points$"
+
+
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda: log_joints(_PTS, IsotropicGMM([[0.0], [5.0]], 1.0)), _DIM.format(1),
+                 id="iso log_joints, 1 column"),
+    pytest.param(lambda: log_joints(_PTS, GeneralGMM([0.5, 0.5], _ONE_COL, np.ones((2, 1, 1)))),
+                 _DIM.format(1), id="general log_joints, 1 column"),
+    pytest.param(lambda: squared_distances(_PTS, _THREE_COL), _DIM.format(3),
+                 id="squared_distances, 3 columns"),
+    pytest.param(lambda: kmeans_step(_PTS, _ONE_COL), _DIM.format(1), id="kmeans_step, 1 column"),
+    pytest.param(lambda: tvem_step(_PTS, IsotropicGMM(_ONE_COL, 1.0), 1), _DIM.format(1),
+                 id="tvem_step, 1 column"),
+    pytest.param(lambda: objective_j(_PTS, [0, 0, 1, 1], _ONE_COL), _DIM.format(1),
+                 id="objective_j, 1 column"),
+    pytest.param(lambda: objective_j(_PTS, [0, 0, 1, 1], _THREE_COL), _DIM.format(3),
+                 id="objective_j, 3 columns"),
+    pytest.param(lambda: objective_j(_PTS, [0.9, 0.9, 1.9, 1.9], _MEANS), _INTS,
+                 id="objective_j, float labels"),
+    pytest.param(lambda: objective_j(_PTS, ["0", "0", "1", "1"], _MEANS), _INTS,
+                 id="objective_j, string labels"),
+    pytest.param(lambda: truncated_responsibilities(_LJ, [[0.9], [0.9], [1.2], [1.2]]), _INTS,
+                 id="truncated_responsibilities, float sets"),
+    pytest.param(lambda: free_energy_trunc(_LJ, [[True], [True], [False], [False]]), _INTS,
+                 id="free_energy_trunc, bool sets"),
+    pytest.param(lambda: binary_responsibilities([0.0, 1.0], 2), _INTS,
+                 id="binary_responsibilities, float labels"),
+    pytest.param(lambda: objective_j(_PTS, [0, 0, 1], _MEANS), _ROWS, id="objective_j, 3 labels"),
+    pytest.param(lambda: m_step_iso(_PTS, _THREE_ROWS), _ROWS, id="m_step_iso, 3 rows"),
+    pytest.param(lambda: m_step_general(_PTS, _THREE_ROWS, GeneralGMM(
+        [0.5, 0.5], _MEANS, np.stack([np.eye(2)] * 2))), _ROWS, id="m_step_general, 3 rows"),
+    pytest.param(lambda: tvem_step(_PTS, _ISO, 1, _THREE_ROWS), _ROWS, id="tvem_step, 3 rows"),
+    pytest.param(lambda: kl_gap(_PTS, _ISO, [0, 0, 1]), _ROWS, id="kl_gap, 3 labels"),
+    pytest.param(lambda: free_energy_entropy_form(_PTS, _THREE_ROWS, 1.0), _ROWS,
+                 id="free_energy_entropy_form, 3 rows"),
+])
+def test_inputs_that_do_not_fit_the_data_are_configuration_errors(call, message):
+    with pytest.raises(ConfigurationError, match=message) as err:
+        call()
+    assert type(err.value) is ConfigurationError
