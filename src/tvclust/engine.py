@@ -26,16 +26,15 @@ rule, for the E-step and for ``tvclust audit``.
 In the M-step each mean is the posterior-weighted average of the data for
 both families, so one routine, ``_weighted_means``, computes it for
 ``m_step_iso``, ``m_step_general`` and ``kmeans_step`` from the dense
-posteriors each builds once.  It alone decides which clusters are empty
-(mass below the smallest normal float) and reseeds them at worst-fit
-points.  ``m_step_general`` adds only what the general family has of its
-own: the other clusters' scatter covariances, their ridge, the mixing
-weights, and the covariance and weight of each revived empty cluster.
-Following the paper's claim (B), a truncated posterior touches only the C'
-clusters of each point's set, so a scatter over a support narrower than C
-sums only the rows whose set holds the cluster, O(N C' D^2); a support of
-width C keeps the dense per-cluster ``einsum`` whose summation order a
-golden trace pins.
+posteriors it builds.  It alone decides which clusters are empty (mass
+below the smallest normal float) and reseeds them at worst-fit points.
+``m_step_general`` adds only what the general family has of its own: the
+other clusters' scatter covariances, their ridge, the mixing weights, and
+the covariance and weight of each revived empty cluster.  Following the
+paper's claim (B), a truncated posterior touches only the C' clusters of
+each point's set, so each cluster's scatter is one BLAS-free ``einsum``
+over its own rows, ascending, O(N C' D^2); exact EM is the case C' = C,
+where every cluster's rows are all N.
 ``_shared_variance`` is sigma2 = J/(D N) for the seeded model and for
 ``m_step_iso``, whose J is ``objective_j``.  ``m_step_general`` takes J
 from the scatter sums it builds anyway, J = sum_k tr(sum_n q_nk (y_n -
@@ -244,21 +243,23 @@ def _worst_fit(points, resp, means, empty):
     return events
 
 
-def _weighted_means(points, resp, w):
+def _weighted_means(points, resp):
     """The mean update of both families: ``(mass, means, empty, events)``.
 
-    ``w`` is ``resp.dense()``.  ``mass`` holds each cluster's summed
-    posteriors and ``means`` the posterior-weighted averages of the points.
-    The weighted sums are ``_blocked_tdot(w, points)``, so the means do not
-    depend on the BLAS thread count.  A cluster is empty when its mass is
-    below the smallest normal float: a subnormal mass keeps too few
-    significant bits to carry a mean or a covariance.  ``empty`` lists those clusters, which
+    ``mass`` holds each cluster's summed posteriors and ``means`` the
+    posterior-weighted averages of the points, both read off the dense
+    posteriors ``resp.dense()``.  The weighted sums are
+    ``_blocked_tdot(resp.dense(), points)``, so the means do not depend on
+    the BLAS thread count.  A cluster is empty when its mass is below the
+    smallest normal float: a subnormal mass keeps too few significant bits
+    to carry a mean or a covariance.  ``empty`` lists those clusters, which
     ``_worst_fit`` reseeds, one event each.  Their posteriors sum to less
     than that float, so the isotropic models' recorded free energy cannot
     visibly move.  Raises ``ConfigurationError`` unless ``resp`` has one row
     per point: the one row check of both M-steps and of the kernels.
     """
     _index_sets(resp, resp.n_clusters, points.shape[0])
+    w = resp.dense()
     mass = w.sum(axis=0)
     wsum = _blocked_tdot(w, points)
     kept = mass >= np.finfo(float).tiny
@@ -286,7 +287,7 @@ def m_step_iso(dataset, resp):
     Returns the model, any reseed events and J.
     """
     points = _points_of(dataset)
-    _, means, _, events = _weighted_means(points, resp, resp.dense())
+    _, means, _, events = _weighted_means(points, resp)
     j = objective_j(points, resp, means)
     return IsotropicGMM(means, _shared_variance(dataset, j)), events, j
 
@@ -304,36 +305,31 @@ def m_step_general(dataset, resp, prev):
     the recorded free energy, so the event is always traced.  Returns the
     model, any revival events and J.
 
-    A support narrower than C (sigma_pi's singletons) costs O(N C' D^2):
-    each cluster's scatter sums only the rows whose support holds it, as
-    ``_blocked_tdot`` products in ascending row order, and one stable sort
-    of the support groups the rows by cluster.  A support of width C (exact
-    EM) keeps one dense ``einsum`` per cluster over all N rows, because
-    ``tests/golden/dup_em_gmm.jsonl`` pins that summation order: on its
-    duplicate-heavy data the blocked products move F by more than the
-    fixture's tolerance.
+    Following the paper's claim (B), each cluster's scatter sums only the
+    rows whose support holds it, O(N C' D^2), and exact EM is the case
+    C' = C.  One stable sort of the C-ordered support groups its entries by
+    cluster, rows ascending in each, and each kept cluster's scatter is one
+    ``einsum`` over its own rows: BLAS-free, so it does not depend on the
+    BLAS thread count.  A group that holds every row is ``arange(N)``, so it
+    reads the points themselves; exact EM's scatter thus sums the same
+    values in the same order as a dense per-cluster ``einsum``.
     """
     points = _points_of(dataset)
     n, d = points.shape
-    w = resp.dense()
-    mass, means, empty, events = _weighted_means(points, resp, w)
-    covs = np.zeros((resp.n_clusters, d, d))
-    kept = np.delete(np.arange(resp.n_clusters), empty)
-    width = resp.support.shape[1]
-    if width == resp.n_clusters:
-        for k in kept:
-            diff = points - means[k]
-            covs[k] = np.einsum("nd,ne->de", w[:, k, None] * diff, diff)
-    else:
-        # The support's entries grouped by cluster, rows ascending in each.
-        order = np.argsort(resp.support, axis=None, kind="stable")
-        rows = order // width
-        q = resp.weights.ravel()[order]
-        ends = np.cumsum(np.bincount(resp.support.ravel(), minlength=resp.n_clusters))
-        for k in kept:
-            at = slice(ends[k - 1] if k else 0, ends[k])
-            diff = points[rows[at]] - means[k]
-            covs[k] = _blocked_tdot(q[at, None] * diff, diff)
+    mass, means, empty, events = _weighted_means(points, resp)
+    c, width = resp.n_clusters, resp.support.shape[1]
+    covs = np.zeros((c, d, d))
+    kept = np.delete(np.arange(c), empty)
+    # The smallest index dtype lets numpy radix-sort the support.
+    key = resp.support.astype(np.min_scalar_type(c - 1), order="C")
+    order = np.argsort(key, axis=None, kind="stable")
+    q = resp.weights.ravel()[order]
+    counts = np.bincount(key.ravel(), minlength=c)
+    ends = np.cumsum(counts)
+    for k in kept:
+        at = slice(ends[k] - counts[k], ends[k])
+        diff = (points if counts[k] == n else points[order[at] // width]) - means[k]
+        covs[k] = np.einsum("nd,ne->de", q[at, None] * diff, diff)
     j = float(np.trace(covs, axis1=1, axis2=2).sum())
     covs[kept] /= mass[kept, None, None]
     covs = 0.5 * (covs + np.transpose(covs, (0, 2, 1)))
@@ -362,7 +358,7 @@ def kmeans_step(dataset, means):
     means = _points_of(means)
     labels = select_nearest(squared_distances(dataset, means), 1)[:, 0]
     resp = binary_responsibilities(labels, means.shape[0])
-    _, new_means, _, events = _weighted_means(points, resp, resp.dense())
+    _, new_means, _, events = _weighted_means(points, resp)
     return resp, new_means, events
 
 

@@ -228,10 +228,12 @@ class TestMStepGeneral:
             m_step_general(ds, resp, gen)[0].means, m_step_iso(ds, resp)[0].means
         )
 
-    @pytest.mark.parametrize("c_prime", [1, 2])
+    @pytest.mark.parametrize("c_prime", [1, 2, 3])
     def test_support_only_scatter_matches_dense(self, c_prime):
-        # 640 points around cluster 0 put its rows in three 256-row blocks;
-        # at an offset of 1e3 a changed summation order shows in the bits
+        # cluster 0 holds most rows, from every column of the sets; with
+        # c_prime = 3 every cluster is in every point's set, at a column
+        # that varies by point, so each group holds all N rows.  At an
+        # offset of 1e3 a changed summation order shows in the bits
         rng = np.random.default_rng(11)
         centres = 1e3 + np.array([[0.0, 0.0, 0.0], [6.0, 6.0, 6.0], [0.0, 6.0, 0.0]])
         points = np.vstack([c + rng.normal(size=(m, 3)) for c, m in zip(centres, (640, 90, 70))])
@@ -249,6 +251,28 @@ class TestMStepGeneral:
         want = regularize_covariances(0.5 * (want + np.transpose(want, (0, 2, 1))))
         assert events == []
         assert np.max(np.abs(model.covs - want) / np.abs(want).max(axis=(1, 2))[:, None, None]) <= 1e-12
+
+    def test_exact_posteriors_scatter_bit_for_bit_as_the_dense_einsum(self):
+        # exact EM's groups are all N rows in order, so the scatter sums
+        # the values of a dense per-cluster einsum in its order, and J and
+        # the covariances keep their bits, at an offset where rounding shows
+        rng = np.random.default_rng(5)
+        points = 1e4 + rng.normal(scale=3.0, size=(900, 3))
+        a = rng.normal(size=(4, 3, 3))
+        gen = GeneralGMM(np.full(4, 0.25), points[:4].copy(), a @ np.transpose(a, (0, 2, 1)) + np.eye(3))
+        resp = responsibilities_exact(log_joints(points, gen))
+        model, events, j = m_step_general(points, resp, gen)
+        w = resp.dense()
+        mass = w.sum(axis=0)
+        want = np.empty((4, 3, 3))
+        for k in range(4):
+            diff = points - model.means[k]
+            want[k] = np.einsum("nd,ne->de", w[:, k, None] * diff, diff)
+        assert events == []
+        assert j.hex() == float(np.trace(want, axis1=1, axis2=2).sum()).hex()
+        want /= mass[:, None, None]
+        want = regularize_covariances(0.5 * (want + np.transpose(want, (0, 2, 1))))
+        assert np.array_equal(model.covs, want)
 
 
 class TestMStepJ:
