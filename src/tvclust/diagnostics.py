@@ -26,6 +26,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .errors import check_count, check_real
 from .models import (
     Responsibilities,
     _index_sets,
@@ -122,8 +123,16 @@ def free_energy_kmeans(c, d, sigma2):
 
     Evaluated with sigma2 taken from the same iteration that produced the
     assignments and means, it equals the restricted-sum free energy of the
-    singleton truncation exactly.
+    singleton truncation exactly.  Raises ``ConfigurationError`` unless C
+    is a count of at least 1 and sigma2 is positive and finite.
     """
+    return _hard_free_energy(check_count("c", c, 1), d, check_real("sigma2", sigma2, positive=True))
+
+
+def _hard_free_energy(c, d, sigma2):
+    """``free_energy_kmeans`` unchecked: ``appendix_forms`` passes an
+    overflowed J's infinite sigma2 through to an infinite F, which
+    ``tvclust audit`` reports as a ``NumericError``."""
     return -math.log(c) - 0.5 * d * (_LOG_2PI_E + math.log(sigma2))
 
 
@@ -157,7 +166,8 @@ def free_energy_entropy_form(dataset, resp, sigma2):
     hard-assignment form.  Equals the restricted-sum free energy whenever
     the supplied q and sigma2, with the means they came with, are a fixed
     point of the iteration; away from the fixed point it is a lower bound
-    (the posteriors at the new parameters differ from q).
+    (the posteriors at the new parameters differ from q).  sigma2 is
+    checked as by ``free_energy_kmeans``.
     """
     n, d = _points_of(dataset).shape
     _index_sets(resp, resp.n_clusters, n)
@@ -183,7 +193,7 @@ def appendix_forms(dataset, d2, j):
     n, c = d2.shape
     d = _points_of(dataset).shape[1]
     j_eff = max(j, d * n * sigma2_floor(dataset))
-    f = free_energy_kmeans(c, d, j_eff / (d * n))
+    f = _hard_free_energy(c, d, j_eff / (d * n))
     gap = 0.5 * d + float(
         np.mean(logsumexp(-(0.5 * d * n) * d2 / j_eff, axis=1))
     )

@@ -79,10 +79,10 @@ def _frame(points):
 
 def _means_of(means, d):
     """``means`` as a C x D matrix (1-D means one column); raises
-    ``ConfigurationError`` unless D is ``d``, the data's dimension.  The one
-    check of the means where they meet the data: the squared distances,
-    the general log-joints and J."""
-    means = _points_of(means)
+    ``ConfigurationError`` unless it is a non-empty matrix (``_shaped``) and
+    D is ``d``, the data's dimension.  The one check of the means where they
+    meet the data: the squared distances, the general log-joints and J."""
+    means = _shaped(_points_of(means), "means", "C")
     if means.shape[1] != d:
         raise ConfigurationError(
             f"model dimension {means.shape[1]} does not match data dimension {d}"
@@ -132,14 +132,21 @@ def _as_readonly(arr, dtype=np.float64, order="C"):
     return out
 
 
+def _shaped(arr, name, rows):
+    """``arr``; raises ``ConfigurationError`` unless it is a non-empty 2-D
+    array, naming it ``name`` and its row count ``rows`` (``"N"``,
+    ``"C"``)."""
+    if arr.ndim != 2 or arr.size == 0:
+        raise ConfigurationError(f"{name} must be a non-empty {rows} x D matrix")
+    return arr
+
+
 def _matrix_of(arr, name, rows):
     """``arr`` as a read-only 2-D float matrix (1-D means one column);
-    raises ``ConfigurationError`` unless it is non-empty and finite.  The
-    one check of a dataset's points and of either family's means;
-    ``rows`` names the row count in the message (``"N"``, ``"C"``)."""
-    out = _as_readonly(_points_of(arr))
-    if out.ndim != 2 or out.size == 0:
-        raise ConfigurationError(f"{name} must be a non-empty {rows} x D matrix")
+    raises ``ConfigurationError`` unless it is non-empty (``_shaped``) and
+    finite.  The one check of a dataset's points and of either family's
+    means."""
+    out = _shaped(_as_readonly(_points_of(arr)), name, rows)
     if not np.all(np.isfinite(out)):
         raise ConfigurationError(f"{name} must be finite")
     return out
@@ -287,8 +294,9 @@ def log_joints(points, model, d2=None):
     """Matrix of log p(c, y^(n)) with shape (N, C) for either model family.
 
     For the isotropic model the entry is -log C - (D/2) log(2 pi sigma2)
-    - d2 / (2 sigma2), with ``d2`` the squared distances to the means
-    (computed unless given).  For the general model it is log pi_c
+    - d2 / (2 sigma2), with ``d2`` the (N, C) squared distances to the means
+    (computed unless given; a given ``d2`` that is not N x C raises
+    ``ConfigurationError``).  For the general model it is log pi_c
     - (1/2) log|2 pi Sigma_c| - (1/2) |L_c^{-1} (y - mu_c)|^2, L_c the
     Cholesky factor of Sigma_c.  One loop over the clusters fills the
     columns: each factors its covariance, inverts the D x D factor (the
@@ -299,6 +307,8 @@ def log_joints(points, model, d2=None):
     if isinstance(model, IsotropicGMM):
         if d2 is None:
             d2 = squared_distances(points, model.means)
+        elif np.shape(d2) != (shape := (len(_points_of(points)), model.c)):
+            raise ConfigurationError(f"squared distances have shape {np.shape(d2)}, not {shape}")
         norm = -math.log(model.c) - 0.5 * model.d * math.log(
             2.0 * math.pi * model.sigma2
         )

@@ -244,6 +244,13 @@ class TestAppendixForms:
         f, l, gap = appendix_forms(ds, squared_distances(ds, ds.points), 0.0)
         assert math.isfinite(f) and math.isfinite(l)
 
+    def test_overflowed_j_gives_an_infinite_f(self):
+        # tvclust audit reports a non-finite F as a numeric error, so the
+        # closed form must not reject the infinite sigma2 of an overflowed J
+        ds = Dataset([[0.0], [4.0]])
+        f, l, _ = appendix_forms(ds, squared_distances(ds, ds.points), math.inf)
+        assert f == l == -math.inf
+
     def test_bound_holds_on_random_post_iteration_states(self):
         rng = np.random.default_rng(13)
         for _ in range(50):

@@ -15,7 +15,10 @@ from tvclust import (
     Responsibilities,
     RunConfig,
     TraceRecord,
+    binary_responsibilities,
     emit,
+    free_energy_entropy_form,
+    free_energy_kmeans,
     lazy_reassign,
     load_trace,
     make_rng,
@@ -166,6 +169,18 @@ SCALAR_FIELDS = {
     "IsotropicGMM.sigma2": ("positive", lambda v: IsotropicGMM([[0.0]], v).sigma2, 0.5, []),
     "Responsibilities.n_clusters": (
         "count1", lambda v: Responsibilities([[0]], [[1.0]], v).n_clusters, 2, []
+    ),
+    "free_energy_kmeans.c": ("count1", lambda v: _called(free_energy_kmeans, v, 2, 1.0), 2, []),
+    "free_energy_kmeans.sigma2": (
+        "positive", lambda v: _called(free_energy_kmeans, 2, 2, v), 0.5, []
+    ),
+    "free_energy_entropy_form.sigma2": (
+        "positive",
+        lambda v: _called(
+            free_energy_entropy_form, [[0.0], [1.0]], binary_responsibilities([0, 1], 2), v
+        ),
+        0.5,
+        [],
     ),
 }
 

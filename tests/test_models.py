@@ -424,6 +424,8 @@ _THREE_ROWS = binary_responsibilities([0, 0, 1], 2)
 _DIM = "^model dimension {} does not match data dimension 2$"
 _INTS = "^cluster indices must be integers$"
 _ROWS = "^index sets have 3 rows for 4 points$"
+_MATRIX = "^means must be a non-empty C x D matrix$"
+_D2 = "^squared distances have shape \\({}, {}\\), not \\(4, 2\\)$"
 
 
 @pytest.mark.parametrize("call,message", [
@@ -458,6 +460,18 @@ _ROWS = "^index sets have 3 rows for 4 points$"
     pytest.param(lambda: kl_gap(_PTS, _ISO, [0, 0, 1]), _ROWS, id="kl_gap, 3 labels"),
     pytest.param(lambda: free_energy_entropy_form(_PTS, _THREE_ROWS, 1.0), _ROWS,
                  id="free_energy_entropy_form, 3 rows"),
+    pytest.param(lambda: squared_distances(_PTS, 5.0), _MATRIX, id="squared_distances, scalar"),
+    pytest.param(lambda: objective_j(_PTS, [0, 0, 1, 1], 5.0), _MATRIX, id="objective_j, scalar"),
+    pytest.param(lambda: squared_distances(_PTS, np.zeros((2, 2, 1))), _MATRIX,
+                 id="squared_distances, (2, 2, 1)"),
+    pytest.param(lambda: squared_distances(_PTS, np.zeros((2, 1, 1))), _MATRIX,
+                 id="squared_distances, (2, 1, 1)"),
+    pytest.param(lambda: kmeans_step(_PTS, np.zeros((2, 2, 1))), _MATRIX,
+                 id="kmeans_step, (2, 2, 1)"),
+    pytest.param(lambda: log_joints(_PTS, _ISO, np.zeros((3, 2))), _D2.format(3, 2),
+                 id="iso log_joints, 3-row d2"),
+    pytest.param(lambda: log_joints(_PTS, _ISO, np.zeros((4, 3))), _D2.format(4, 3),
+                 id="iso log_joints, 3-column d2"),
 ])
 def test_inputs_that_do_not_fit_the_data_are_configuration_errors(call, message):
     with pytest.raises(ConfigurationError, match=message) as err:
