@@ -8,23 +8,26 @@ six algorithm settings (kmeans, C' = 2, C' = C, lazy, em_gmm, sigma_pi) x
 both seedings x three seeds, C = 6, at most 30 iterations.  Each line
 holds the trace, the stop reason or the numeric-failure message, hashes
 of the final model and posteriors, a hash of the dataset's points and
-labels, and, for a fit that succeeds, the ``tvclust audit`` of its final
-model: its exit code, its stderr, and its stdout and ``--out`` report,
-each parsed as JSON (run in-process on temporary files):
+labels, the invariants its trace breaks (``trace_violations``, as
+``[iter, invariant, flagged]`` without the margins), and, for a fit that
+succeeds, the ``tvclust audit`` of its final model: its exit code, its
+stderr, and its stdout and ``--out`` report, each parsed as JSON (run
+in-process on temporary files):
 
     PYTHONPATH=src python scripts/compare_fits.py > before.jsonl
 
 Compare mode reads two such outputs and prints a summary line: how many
 fits are byte-identical (trace and all hashes), the fits whose exact
 fields differ (record count, ``iter``, ``n_changed``, ``events``, stop
-reason, failure, dataset hash, and the audit's exit code, stderr, report
-keys and any other value that is not a float), and the largest relative
-change of ``J``, ``F``, ``L``, ``gap``, ``sigma2`` and every float of the
-audit (absolute below magnitude 1), overall and for each dataset/setting
-group that has a fit which is not byte-identical, beside the number of
-such fits.  So a model that moves in its last bits moves its audit's
-numbers, not an exact field.  One more
-line follows per fit whose exact fields differ.  The exit status is 1 if
+reason, failure, dataset hash, broken invariants, and the audit's exit
+code, stderr, report keys and any other value that is not a float), and
+the largest relative change of ``J``, ``F``, ``L``, ``gap``, ``sigma2``
+and every float of the audit (absolute below magnitude 1), overall and
+for each dataset/setting group that has a fit which is not
+byte-identical, beside the number of such fits.  So a model that moves
+in its last bits moves its audit's numbers, not an exact field.  One
+more line follows per fit whose exact fields differ, so a fit whose
+trace starts or stops breaking an invariant is named.  The exit status is 1 if
 any exact field differs, a fit is missing, or a float moves by more than
 ``--rtol``:
 
@@ -46,8 +49,9 @@ from pathlib import Path
 import numpy as np
 
 from tvclust import (Dataset, GeneralGMM, GeneratorSpec, NumericError, RunConfig, generate,
-                     run, save_csv, save_model)
+                     run, save_csv, save_model, trace_violations)
 from tvclust.cli import main as cli_main
+from tvclust.engine import _PAIRS
 from tvclust.models import model_to_snapshot
 
 C = 6
@@ -55,7 +59,7 @@ MAX_ITERS = 30
 SEEDS = (0, 1, 2)
 SEEDINGS = ("uniform", "dsquared")
 EXACT = ("iter", "n_changed", "events")
-EXACT_LINE = ("reason", "failure", "data")
+EXACT_LINE = ("reason", "failure", "data", "violations")
 FLOATS = ("J", "F", "L", "gap", "sigma2")
 SETTINGS = {
     "kmeans": ("kmeans", {}),
@@ -148,6 +152,8 @@ def fit_line(name, data, setting, seeding, seed):
         line["audit"] = _audit(data, result.model)
         trace = result.trace
     line["trace"] = [record.to_dict() for record in trace]
+    line["violations"] = [[v.iteration, v.invariant, v.flagged]
+                          for v in trace_violations(trace, data, _PAIRS[algorithm][1])]
     return line
 
 

@@ -17,6 +17,7 @@ from .diagnostics import (
     kl_gap,
     log_likelihood,
     objective_j,
+    trace_violations,
 )
 from .engine import (
     ALGORITHMS,

@@ -17,17 +17,35 @@ with gap >= 0, shrinking to zero as the assigned cluster dominates.
 The bounds of any model, ``free_energy_trunc`` and ``log_likelihood``, are
 functions of the (N, C) log-joints ``models.log_joints(dataset, model)``
 alone, so one matrix serves both.
+
+``trace_violations`` states once the invariants every trace of ``run``
+keeps, for every selection rule and both model families, each by name:
+
+    finite    J, F, L, gap and sigma2 are finite
+    bound     L - F >= -BOUND_ATOL
+    gap       gap >= -BOUND_ATOL
+    identity  |L - F - gap| <= BOUND_ATOL
+    monotone  F_t >= F_{t-1} - F_RTOL * max(1, |F_{t-1}|)
+    sigma2    sigma2 = max(J/(D N), sigma2_floor) within SIGMA2_RTOL
+              relative, on isotropic records from iteration 1 on (the
+              seeded sigma2 of record 0 comes from the hard labels, not
+              from the record's posteriors)
+
+A record with a non-finite value is checked for nothing else, and the next
+record's F is compared with the last finite one.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import check_count, check_real
+from .errors import ConfigurationError, check_count, check_real
 from .models import (
+    _SNAPSHOTS,
     Responsibilities,
     _index_sets,
     _means_of,
@@ -39,6 +57,12 @@ from .models import (
 )
 
 _LOG_2PI_E = math.log(2.0 * math.pi) + 1.0
+
+F_RTOL = 1e-9
+BOUND_ATOL = 1e-10
+SIGMA2_RTOL = 1e-12
+
+Violation = namedtuple("Violation", "iteration invariant margin flagged")
 
 
 @dataclass
@@ -194,7 +218,41 @@ def appendix_forms(dataset, d2, j):
     d = _points_of(dataset).shape[1]
     j_eff = max(j, d * n * sigma2_floor(dataset))
     f = _hard_free_energy(c, d, j_eff / (d * n))
-    gap = 0.5 * d + float(
-        np.mean(logsumexp(-(0.5 * d * n) * d2 / j_eff, axis=1))
-    )
+    with np.errstate(invalid="ignore"):  # an overflowed J gives inf / inf
+        gap = 0.5 * d + float(np.mean(logsumexp(-(0.5 * d * n) * d2 / j_eff, axis=1)))
     return f, f + gap, gap
+
+
+def trace_violations(records, dataset, family):
+    """The invariants of the module docstring that ``records`` break.
+
+    ``records`` are ``TraceRecord``s of one fit of ``dataset`` (from
+    ``run``, a ``NumericError``'s ``.trace`` or ``harness.load_trace``), and
+    ``family`` the snapshot kind of its model, ``"iso"`` or ``"general"``.
+    Returns one ``Violation(iteration, invariant, margin, flagged)`` per
+    broken invariant, in record order: ``margin`` is the checked quantity
+    (L - F, gap, L - F - gap, F_t - F_{t-1}, sigma2's relative error, or the
+    first non-finite value) and ``flagged`` whether the record has events.
+    """
+    if family not in _SNAPSHOTS:
+        raise ConfigurationError(f"unknown model kind {family!r}")
+    n, d = _points_of(dataset).shape
+    floor = sigma2_floor(dataset)
+    out, prev = [], -math.inf  # no F bound on the first finite record
+    for rec in records:
+        bad = [v for v in (rec.J, rec.F, rec.L, rec.gap, rec.sigma2) if not math.isfinite(v)]
+        checks = [("finite", bad[0] if bad else 0.0, not bad)]
+        if not bad:
+            bound, want = rec.L - rec.F, max(rec.J / (d * n), floor)
+            rel = (rec.sigma2 - want) / want
+            checks += [
+                ("bound", bound, bound >= -BOUND_ATOL),
+                ("gap", rec.gap, rec.gap >= -BOUND_ATOL),
+                ("identity", bound - rec.gap, abs(bound - rec.gap) <= BOUND_ATOL),
+                ("monotone", rec.F - prev, rec.F >= prev - F_RTOL * max(1.0, abs(prev))),
+                ("sigma2", rel, family != "iso" or rec.iteration < 1 or abs(rel) <= SIGMA2_RTOL),
+            ]
+            prev = rec.F
+        out += [Violation(rec.iteration, name, margin, bool(rec.events))
+                for name, margin, ok in checks if not ok]
+    return out

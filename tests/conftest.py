@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from tvclust import Dataset, GeneratorSpec, free_energy_kmeans, generate, logsumexp
+from tvclust import (Dataset, GeneratorSpec, free_energy_kmeans, generate, logsumexp,
+                     model_to_snapshot, trace_violations)
 
 settings.register_profile(
     "default",
@@ -134,6 +135,11 @@ def blob_dataset(seed, c_true=4, per_cluster_n=40, box=10.0, gen_sigma=1.0):
         seed=seed,
     )
     return generate(spec)
+
+
+def fit_violations(dataset, result):
+    """``trace_violations`` of a ``run`` result, for its model's family."""
+    return trace_violations(result.trace, dataset, model_to_snapshot(result.model)["kind"])
 
 
 def count_calls(monkeypatch, module_name, name, counted=lambda *args: True):

@@ -325,8 +325,11 @@ class TestAudit:
         [
             ({"kind": "iso", "means": [[0.0, 0.0]], "sigma2": 1e-320}, "L_at_model_sigma2"),
             (dict(GENERAL, covs=[[[1e-320, 0.0], [0.0, 1e-320]]]), "F, L, gap"),
+            # J overflows, so the closed-form gap divides inf by inf
+            ({"kind": "iso", "means": [[1e200, 0.0]], "sigma2": 1.0},
+             "J, F, L, gap, L_at_model_sigma2"),
         ],
-        ids=["iso", "general"],
+        ids=["iso", "general", "iso_far_means"],
     )
     def test_overflowing_bounds_are_numeric_error(self, tmp_path, capsys, snapshot, names):
         from tvclust.cli import EXIT_NUMERIC

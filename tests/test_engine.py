@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -35,7 +33,7 @@ from tvclust import (
 from tvclust.data import GeneratorSpec, generate
 from tvclust.models import COV_RIDGE, regularize_covariances
 
-from conftest import blob_dataset, count_calls
+from conftest import blob_dataset, count_calls, fit_violations
 
 
 class TestRunConfig:
@@ -708,19 +706,11 @@ class TestRun:
     def test_free_energy_monotone_smoke(self, algorithm, extra):
         ds = blob_dataset(8)
         cfg = RunConfig(algorithm=algorithm, c=4, seed=5, max_iters=40, **extra)
-        res = run(ds, cfg)
-        fs = [r.F for r in res.trace]
-        for prev, cur in zip(fs, fs[1:]):
-            assert cur >= prev - 1e-9 * max(1.0, abs(prev))
+        assert fit_violations(ds, run(ds, cfg)) == []
 
     def test_trace_gap_consistency(self):
         ds = blob_dataset(4)
-        cfg = RunConfig(algorithm="kmeans", c=4, seed=2)
-        res = run(ds, cfg)
-        for rec in res.trace:
-            assert rec.gap >= -1e-10
-            assert abs((rec.L - rec.F) - rec.gap) <= 1e-10
-            assert math.isfinite(rec.L) and math.isfinite(rec.F)
+        assert fit_violations(ds, run(ds, RunConfig(algorithm="kmeans", c=4, seed=2))) == []
 
 
 # ROADMAP item 5: the 1/3 posteriors put the new means about an ulp off the
@@ -734,7 +724,7 @@ _COLLAPSED_FALL = pytest.mark.xfail(
 
 
 class TestCollapsedData:
-    """24 copies of one value at C = 3: F may fall only at a flagged event."""
+    """24 copies of one value at C = 3: only a flagged record may break an invariant."""
 
     @pytest.mark.parametrize(
         "algorithm,extra",
@@ -748,10 +738,10 @@ class TestCollapsedData:
         cfg = RunConfig(
             algorithm=algorithm, c=3, seeding="uniform", max_iters=2, tol=0.0, **extra
         )
-        trace = run(Dataset(np.full((24, 1), 1000.0)), cfg).trace
-        assert len(trace) == 3
-        for prev, cur in zip(trace, trace[1:]):
-            assert cur.F >= prev.F or cur.events
+        ds = Dataset(np.full((24, 1), 1000.0))
+        res = run(ds, cfg)
+        assert len(res.trace) == 3
+        assert [v for v in fit_violations(ds, res) if not v.flagged] == []
 
 
 class TestNumericFailure:
@@ -782,9 +772,7 @@ class TestOneDimensionalGeneralModels:
         means = np.sort(res.model.means.ravel())
         assert abs(means[0] - 0.0) < 0.4
         assert abs(means[1] - 6.0) < 0.4
-        fs = [r.F for r in res.trace]
-        for a, b in zip(fs, fs[1:]):
-            assert b >= a - 1e-9 * max(1.0, abs(a))
+        assert fit_violations(ds, res) == []
 
 
 ALL_ALGORITHMS = [

@@ -7,6 +7,9 @@ numbers, ``n_changed`` and ``events`` must match exactly; ``J``, ``F``,
 (absolute below magnitude 1), the tolerance the benchmark's reference
 check uses.
 
+Every fixture also keeps the trace invariants of
+``diagnostics.trace_violations``, checked on the recorded file itself.
+
 Two datasets are covered: a uniform-box blob set (dsquared seeding) and a
 duplicate-heavy set (uniform seeding) whose coinciding seeds empty
 clusters, so isotropic reseeds, general-model revivals and a numeric
@@ -22,7 +25,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tvclust import Dataset, GeneratorSpec, NumericError, RunConfig, emit, generate, run
+from tvclust import (Dataset, GeneratorSpec, NumericError, RunConfig, emit, generate, load_trace,
+                     run, trace_violations)
+from tvclust.engine import _PAIRS
 
 GOLDEN = Path(__file__).parent / "golden"
 RTOL = 1e-10
@@ -104,6 +109,13 @@ def test_trace_matches_golden(case):
         for key in FLOATS:
             tol = RTOL * max(1.0, abs(w[key]))
             assert abs(g[key] - w[key]) <= tol, (g["iter"], key)
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: _case_id(*c))
+def test_golden_trace_keeps_the_invariants(case):
+    name, alg, _ = case
+    trace = load_trace(GOLDEN / f"{_case_id(*case)}.jsonl")
+    assert trace_violations(trace, DATASETS[name][0](), _PAIRS[alg][1]) == []
 
 
 def test_fixture_covers_reseeds_revivals_and_failure():
