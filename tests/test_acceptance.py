@@ -82,8 +82,7 @@ def _monotone_results():
                 max_iters=60,
                 **extra,
             )
-            res = run(ds, cfg)
-            runs.append((res, fit_violations(ds, res)))
+            runs.append(fit_violations(ds, cfg))
         out[key] = runs
     return out
 

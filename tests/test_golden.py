@@ -27,7 +27,8 @@ import pytest
 
 from tvclust import (Dataset, GeneratorSpec, NumericError, RunConfig, emit, generate, load_trace,
                      run, trace_violations)
-from tvclust.engine import _PAIRS
+
+from conftest import family_of
 
 GOLDEN = Path(__file__).parent / "golden"
 RTOL = 1e-10
@@ -115,7 +116,7 @@ def test_trace_matches_golden(case):
 def test_golden_trace_keeps_the_invariants(case):
     name, alg, _ = case
     trace = load_trace(GOLDEN / f"{_case_id(*case)}.jsonl")
-    assert trace_violations(trace, DATASETS[name][0](), _PAIRS[alg][1]) == []
+    assert trace_violations(trace, DATASETS[name][0](), family_of(alg)) == []
 
 
 def test_fixture_covers_reseeds_revivals_and_failure():
