@@ -51,7 +51,6 @@ import numpy as np
 from tvclust import (Dataset, GeneralGMM, GeneratorSpec, NumericError, RunConfig, generate,
                      run, save_csv, save_model, trace_violations)
 from tvclust.cli import main as cli_main
-from tvclust.engine import _PAIRS
 from tvclust.models import model_to_snapshot
 
 C = 6
@@ -153,7 +152,7 @@ def fit_line(name, data, setting, seeding, seed):
         trace = result.trace
     line["trace"] = [record.to_dict() for record in trace]
     line["violations"] = [[v.iteration, v.invariant, v.flagged]
-                          for v in trace_violations(trace, data, _PAIRS[algorithm][1])]
+                          for v in trace_violations(trace, data)]
     return line
 
 

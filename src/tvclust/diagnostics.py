@@ -27,9 +27,8 @@ keeps, for every selection rule and both model families, each by name:
     identity  |L - F - gap| <= BOUND_ATOL
     monotone  F_t >= F_{t-1} - F_RTOL * max(1, |F_{t-1}|)
     sigma2    sigma2 = max(J/(D N), sigma2_floor) within SIGMA2_RTOL
-              relative, on isotropic records from iteration 1 on (the
-              seeded sigma2 of record 0 comes from the hard labels, not
-              from the record's posteriors)
+              relative, from iteration 1 on (the seeded sigma2 of record 0
+              comes from the hard labels, not from the record's posteriors)
 
 A record with a non-finite value is checked for nothing else, and the next
 record's F is compared with the last finite one.
@@ -43,9 +42,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, check_count, check_real
+from .errors import check_count, check_real
 from .models import (
-    _SNAPSHOTS,
     Responsibilities,
     _index_sets,
     _means_of,
@@ -223,19 +221,16 @@ def appendix_forms(dataset, d2, j):
     return f, f + gap, gap
 
 
-def trace_violations(records, dataset, family):
+def trace_violations(records, dataset):
     """The invariants of the module docstring that ``records`` break.
 
     ``records`` are ``TraceRecord``s of one fit of ``dataset`` (from
-    ``run``, a ``NumericError``'s ``.trace`` or ``harness.load_trace``), and
-    ``family`` the snapshot kind of its model, ``"iso"`` or ``"general"``.
+    ``run``, a ``NumericError``'s ``.trace`` or ``harness.load_trace``).
     Returns one ``Violation(iteration, invariant, margin, flagged)`` per
     broken invariant, in record order: ``margin`` is the checked quantity
     (L - F, gap, L - F - gap, F_t - F_{t-1}, sigma2's relative error, or the
     first non-finite value) and ``flagged`` whether the record has events.
     """
-    if family not in _SNAPSHOTS:
-        raise ConfigurationError(f"unknown model kind {family!r}")
     n, d = _points_of(dataset).shape
     floor = sigma2_floor(dataset)
     out, prev = [], -math.inf  # no F bound on the first finite record
@@ -250,7 +245,7 @@ def trace_violations(records, dataset, family):
                 ("gap", rec.gap, rec.gap >= -BOUND_ATOL),
                 ("identity", bound - rec.gap, abs(bound - rec.gap) <= BOUND_ATOL),
                 ("monotone", rec.F - prev, rec.F >= prev - F_RTOL * max(1.0, abs(prev))),
-                ("sigma2", rel, family != "iso" or rec.iteration < 1 or abs(rel) <= SIGMA2_RTOL),
+                ("sigma2", rel, rec.iteration < 1 or abs(rel) <= SIGMA2_RTOL),
             ]
             prev = rec.F
         out += [Violation(rec.iteration, name, margin, bool(rec.events))

@@ -35,10 +35,11 @@ paper's claim (B), a truncated posterior touches only the C' clusters of
 each point's set, so each cluster's scatter is one BLAS-free ``einsum``
 over its own rows, ascending, O(N C' D^2); exact EM is the case C' = C,
 where every cluster's rows are all N.
-``_shared_variance`` is sigma2 = J/(D N) for the seeded model and for
-``m_step_iso``, whose J is ``objective_j``.  ``m_step_general`` takes J
-from the scatter sums it builds anyway, J = sum_k tr(sum_n q_nk (y_n -
-mu_k)(y_n - mu_k)^T), the direct-difference form of the same sum.
+``_shared_variance`` is sigma2 = J/(D N), floored, for the seeded model,
+for ``m_step_iso``, whose J is ``objective_j``, and for the trace record
+of a general model.  ``m_step_general`` takes J from the scatter sums it
+builds anyway, J = sum_k tr(sum_n q_nk (y_n - mu_k)(y_n - mu_k)^T), the
+direct-difference form of the same sum.
 
 Each iteration of ``run`` builds its matrices once (``_matrices``): the
 log-joints, plus the squared distances they come from for the isotropic
@@ -466,9 +467,9 @@ def _record(iteration, dataset, model, resp, lj, j, n_changed, events):
     ``j`` is the J of ``resp`` around the model's means that the M-step
     returned: ``objective_j`` for the isotropic family, and
     sum_k tr(sum_n q_nk (y_n - mu_k)(y_n - mu_k)^T) of the scatter sums for
-    the general one, whose record reports sigma2 = J/(D N).
+    the general one, whose record reports ``_shared_variance``, the floored
+    J/(D N) the isotropic M-step stores.
     """
-    n, d = _points_of(dataset).shape
     ll = log_likelihood(lj)
     f = free_energy_trunc(lj, resp)
     return TraceRecord(
@@ -477,7 +478,7 @@ def _record(iteration, dataset, model, resp, lj, j, n_changed, events):
         F=f,
         L=ll,
         gap=ll - f,
-        sigma2=model.sigma2 if isinstance(model, IsotropicGMM) else j / (d * n),
+        sigma2=model.sigma2 if isinstance(model, IsotropicGMM) else _shared_variance(dataset, j),
         n_changed=n_changed,
         events=list(events),
     )
@@ -526,17 +527,16 @@ def run(dataset, config):
     j = objective_j(dataset, resp, model.means)
     trace = [_record(0, dataset, model, resp, lj, j, dataset.n, [])]
     reason = "max_iters"
-    new_resp = resp
     for it in range(1, config.max_iters + 1):
         try:
             if it > 1:
-                new_resp = _e_step(rule, d2, lj, config.c_prime, config.epsilon, resp)
+                resp = _e_step(rule, d2, lj, config.c_prime, config.epsilon, resp)
             d2 = lj = None  # their last reader was the E-step; free them
-            _, new_model, events, j = tvem_step(dataset, model, config.c_prime, new_resp)
-            new_key = _set_key(new_resp, rule)
+            _, new_model, events, j = tvem_step(dataset, model, config.c_prime, resp)
+            new_key = _set_key(resp, rule)
             n_changed = int(np.sum(np.any(key != new_key, axis=1)))
             rel = _rel_change(model, new_model)
-            model, resp, key = new_model, new_resp, new_key
+            model, key = new_model, new_key
             d2, lj = _matrices(dataset, model)
             trace.append(_record(it, dataset, model, resp, lj, j, n_changed, events))
         except NumericError as exc:

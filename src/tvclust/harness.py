@@ -19,7 +19,7 @@ import numpy as np
 from .data import GeneratorSpec, generate, load_csv
 from .diagnostics import TraceRecord
 from .engine import RunConfig, run
-from .errors import ConfigurationError, NumericError, check_count
+from .errors import ConfigurationError, NumericError, ParseError, check_count
 
 
 @dataclass(frozen=True)
@@ -78,11 +78,15 @@ def emit(obj, path):
 
 
 def load_trace(path):
-    """Parse a JSON-lines trace back into records."""
+    """Parse a JSON-lines trace back into records.  A line that is not a
+    trace record raises ``ParseError``."""
     records = []
-    for line in Path(path).read_text(encoding="utf-8").split("\n"):
+    for k, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), 1):
         if line:
-            records.append(TraceRecord.from_dict(json.loads(line)))
+            try:
+                records.append(TraceRecord.from_dict(json.loads(line)))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ParseError(f"{path}: line {k}: not a trace record: {exc!r}") from None
     return records
 
 

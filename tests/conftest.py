@@ -7,7 +7,6 @@ from hypothesis import HealthCheck, settings
 
 from tvclust import (Dataset, GeneratorSpec, free_energy_kmeans, generate, logsumexp, run,
                      trace_violations)
-from tvclust.engine import _PAIRS
 
 settings.register_profile(
     "default",
@@ -138,15 +137,10 @@ def blob_dataset(seed, c_true=4, per_cluster_n=40, box=10.0, gen_sigma=1.0):
     return generate(spec)
 
 
-def family_of(algorithm):
-    """Snapshot kind of the models ``algorithm`` fits, ``"iso"`` or ``"general"``."""
-    return _PAIRS[algorithm][1]
-
-
 def fit_violations(dataset, config):
     """``run`` the fit; return its result and the ``trace_violations`` of its trace."""
     result = run(dataset, config)
-    return result, trace_violations(result.trace, dataset, family_of(config.algorithm))
+    return result, trace_violations(result.trace, dataset)
 
 
 def count_calls(monkeypatch, module_name, name, counted=lambda *args: True):

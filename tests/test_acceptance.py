@@ -39,19 +39,7 @@ from tvclust.engine import sigma_pi_step
 from tvclust.harness import restart_seed
 from tvclust.models import GeneralGMM, log_joints, logsumexp
 
-from conftest import fit_violations
-
-
-def _blobs(seed, c_true=4, per_cluster_n=40):
-    spec = GeneratorSpec(
-        kind="uniform",
-        c_true=c_true,
-        per_cluster_n=per_cluster_n,
-        gen_sigma=1.0,
-        domain_box=((0.0, 10.0), (0.0, 10.0)),
-        seed=seed,
-    )
-    return generate(spec)
+from conftest import blob_dataset, fit_violations
 
 
 MONOTONE_CONFIGS = [
@@ -73,7 +61,7 @@ def _monotone_results():
         key = (algorithm, tuple(sorted(extra.items())))
         runs = []
         for i in range(20):
-            ds = _blobs(100 + i)
+            ds = blob_dataset(100 + i)
             cfg = RunConfig(
                 algorithm=algorithm,
                 c=4,
@@ -131,7 +119,7 @@ def test_criterion_3_bound_and_gap_identity(monotone_results):
     # closed-form cross-check on hard-assignment states, driven step by step
     rng = np.random.default_rng(9)
     for i in range(10):
-        ds = _blobs(100 + i)
+        ds = blob_dataset(100 + i)
         means = ds.points[rng.choice(ds.n, 4, replace=False)]
         for _ in range(8):
             resp, means, _ = kmeans_step(ds, means)
@@ -145,7 +133,7 @@ def test_criterion_3_bound_and_gap_identity(monotone_results):
     from tvclust import lazy_step
 
     for i in range(5):
-        ds = _blobs(100 + i)
+        ds = blob_dataset(100 + i)
         means = ds.points[rng.choice(ds.n, 4, replace=False)]
         model = IsotropicGMM(means, 1.0)
         state = select_nearest(squared_distances(ds.points, means), 1)
@@ -165,7 +153,7 @@ def test_criterion_4_reductions():
     rng = np.random.default_rng(31)
     # full truncation reproduces the dense posterior and F = L
     for i in range(10):
-        ds = _blobs(500 + i)
+        ds = blob_dataset(500 + i)
         means = ds.points[rng.choice(ds.n, 4, replace=False)]
         model = IsotropicGMM(means, float(rng.uniform(0.1, 2.0)))
         resp, new_model, _, _ = tvem_step(ds, model, 4)
@@ -175,7 +163,7 @@ def test_criterion_4_reductions():
         assert abs(free_energy_trunc(lj, resp.support) - log_likelihood(lj)) <= 1e-12
     # lazy with eps=0 reproduces kmeans exactly, over whole runs
     for i in range(5):
-        ds = _blobs(600 + i)
+        ds = blob_dataset(600 + i)
         lazy_cfg = RunConfig(
             algorithm="lazy_kmeans", c=4, epsilon=0.0, seeding="dsquared", seed=i
         )
@@ -189,7 +177,7 @@ def test_criterion_4_reductions():
         )
     # equal weights and shared isotropic covariances reduce the score rule
     for i in range(5):
-        ds = _blobs(700 + i)
+        ds = blob_dataset(700 + i)
         means = ds.points[rng.choice(ds.n, 4, replace=False)]
         sigma2 = float(rng.uniform(0.1, 2.0))
         gen = GeneralGMM(
@@ -207,7 +195,7 @@ def test_criterion_5_entropy_form():
     """Entropy form equals the restricted sum at post-iteration fixpoints."""
     for cp in (1, 2, 3):
         for i in range(5):
-            ds = _blobs(300 + i)
+            ds = blob_dataset(300 + i)
             cfg = RunConfig(
                 algorithm="kmeans_cprime",
                 c=4,
@@ -236,7 +224,7 @@ def test_criterion_6_distortion_identities():
     rng = np.random.default_rng(77)
     checked = 0
     for i in range(10):
-        ds = _blobs(800 + i)
+        ds = blob_dataset(800 + i)
         means = ds.points[rng.choice(ds.n, 4, replace=False)]
         for _ in range(6):
             resp, means, _ = kmeans_step(ds, means)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from tvclust import (
-    ConfigurationError,
     Dataset,
     IsotropicGMM,
     Responsibilities,
@@ -322,43 +321,47 @@ class TestTraceRecord:
 BLOBS = blob_dataset(4)
 
 
-def _trace_of_five_iterations():
-    cfg = RunConfig(algorithm="kmeans_cprime", c=4, c_prime=2, seed=2, max_iters=5, tol=0.0)
-    return run(BLOBS, cfg).trace
+def _five_iterations(algorithm, **extra):
+    cfg = RunConfig(algorithm=algorithm, c=4, seed=2, max_iters=5, tol=0.0, **extra)
+    return tuple(run(BLOBS, cfg).trace)
 
+
+CPRIME = _five_iterations("kmeans_cprime", c_prime=2)
+SIGMA_PI = _five_iterations("sigma_pi")
 
 REVIVED = ["revived empty cluster 1 at point 7"]
 
-# id: (family, changes to record 2 given it and record 1, the (invariant,
-# margin, flagged) expected at iteration 2, or None for a trace that passes)
+# id: (the fit's trace, changes to record 2 given it and record 1, the
+# (invariant, margin, flagged) expected at iteration 2, or None for a trace
+# that passes)
 BREAKS = {
-    "clean": ("iso", lambda r, p: {}, None),
-    "F falls": ("iso", lambda r, p: dict(F=p.F - 1.0, L=p.F - 1.0 + r.gap),
+    "clean": (CPRIME, lambda r, p: {}, None),
+    "F falls": (CPRIME, lambda r, p: dict(F=p.F - 1.0, L=p.F - 1.0 + r.gap),
                 ("monotone", -1.0, False)),
-    "F falls at an event": ("iso", lambda r, p: dict(F=p.F - 1.0, L=p.F - 1.0 + r.gap,
-                                                    events=REVIVED), ("monotone", -1.0, True)),
-    "L below F": ("iso", lambda r, p: dict(L=r.F - 1.5e-10, gap=-0.6e-10),
+    "F falls at an event": (CPRIME, lambda r, p: dict(F=p.F - 1.0, L=p.F - 1.0 + r.gap,
+                                                      events=REVIVED), ("monotone", -1.0, True)),
+    "L below F": (CPRIME, lambda r, p: dict(L=r.F - 1.5e-10, gap=-0.6e-10),
                   ("bound", -1.5e-10, False)),
-    "negative gap": ("iso", lambda r, p: dict(L=r.F - 0.6e-10, gap=-1.5e-10),
+    "negative gap": (CPRIME, lambda r, p: dict(L=r.F - 0.6e-10, gap=-1.5e-10),
                      ("gap", -1.5e-10, False)),
-    "gap off L - F": ("iso", lambda r, p: dict(gap=r.gap + 1e-9), ("identity", -1e-9, False)),
-    "NaN F": ("iso", lambda r, p: dict(F=math.nan), ("finite", math.nan, False)),
-    "infinite J": ("iso", lambda r, p: dict(J=math.inf), ("finite", math.inf, False)),
-    "sigma2 off its J": ("iso", lambda r, p: dict(sigma2=r.sigma2 * (1.0 + 1e-9)),
+    "gap off L - F": (CPRIME, lambda r, p: dict(gap=r.gap + 1e-9), ("identity", -1e-9, False)),
+    "NaN F": (CPRIME, lambda r, p: dict(F=math.nan), ("finite", math.nan, False)),
+    "infinite J": (CPRIME, lambda r, p: dict(J=math.inf), ("finite", math.inf, False)),
+    "sigma2 off its J": (CPRIME, lambda r, p: dict(sigma2=r.sigma2 * (1.0 + 1e-9)),
                          ("sigma2", 1e-9, False)),
-    "floored sigma2 at J = 0": ("iso", lambda r, p: dict(J=0.0, sigma2=sigma2_floor(BLOBS)),
+    "floored sigma2 at J = 0": (CPRIME, lambda r, p: dict(J=0.0, sigma2=sigma2_floor(BLOBS)),
                                 None),
-    "general sigma2 is not J/(D N)": ("general", lambda r, p: dict(sigma2=2.0 * r.sigma2),
-                                      None),
+    "general sigma2 doubled": (SIGMA_PI, lambda r, p: dict(sigma2=2.0 * r.sigma2),
+                               ("sigma2", 1.0, False)),
 }
 
 
 class TestTraceViolations:
-    @pytest.mark.parametrize("family,change,want", BREAKS.values(), ids=list(BREAKS))
-    def test_one_change_breaks_one_named_invariant(self, family, change, want):
-        trace = _trace_of_five_iterations()
+    @pytest.mark.parametrize("fit,change,want", BREAKS.values(), ids=list(BREAKS))
+    def test_one_change_breaks_one_named_invariant(self, fit, change, want):
+        trace = list(fit)
         trace[2] = replace(trace[2], **change(trace[2], trace[1]))
-        got = trace_violations(trace, BLOBS, family)
+        got = trace_violations(trace, BLOBS)
         if want is None:
             assert got == []
         else:
@@ -367,13 +370,9 @@ class TestTraceViolations:
                             flagged)]
 
     def test_loaded_trace_and_raw_points_give_the_same_verdict(self, tmp_path):
-        trace = _trace_of_five_iterations()
+        trace = list(CPRIME)
         trace[3] = replace(trace[3], sigma2=trace[3].sigma2 * 2.0)
         emit(trace, tmp_path / "t.jsonl")
-        want = trace_violations(trace, BLOBS, "iso")
+        want = trace_violations(trace, BLOBS)
         assert [v.invariant for v in want] == ["sigma2"]
-        assert trace_violations(load_trace(tmp_path / "t.jsonl"), BLOBS.points, "iso") == want
-
-    def test_unknown_family_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown model kind 'isotropic'"):
-            trace_violations(_trace_of_five_iterations(), BLOBS, "isotropic")
+        assert trace_violations(load_trace(tmp_path / "t.jsonl"), BLOBS.points) == want

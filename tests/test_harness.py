@@ -12,6 +12,7 @@ from tvclust import (
     ExperimentSpec,
     GeneratorSpec,
     IsotropicGMM,
+    ParseError,
     Responsibilities,
     RunConfig,
     TraceRecord,
@@ -239,6 +240,18 @@ class TestEmit:
         emit([TraceRecord(0, 0.0, 0.0, 0.0, 0.0, 1.0, 0, [])], path)
         line = json.loads(path.read_text().splitlines()[0])
         assert line["events"] == []
+
+    @pytest.mark.parametrize("bad", [
+        '{"iter": 1, "J": 1.0, "L": 0.0, "gap": 0.0, "sigma2": 1.0, "n_changed": 0}',
+        '{"iter": 1, "J": 1.0,',
+        '{"iter": 1, "J": "x", "F": 0.0, "L": 0.0, "gap": 0.0, "sigma2": 1.0, "n_changed": 0}',
+    ], ids=["missing field", "not JSON", "not a number"])
+    def test_malformed_line_is_a_parse_error(self, tmp_path, bad):
+        path = tmp_path / "trace.jsonl"
+        emit([TraceRecord(0, 1.0, 0.0, 0.0, 0.0, 1.0, 4, [])], path)
+        path.write_text(path.read_text() + bad + "\n")
+        with pytest.raises(ParseError, match=r"trace.jsonl: line 2: not a trace record"):
+            load_trace(path)
 
     def test_summary_written_as_json_object(self, tmp_path):
         path = tmp_path / "summary.json"
