@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, ParseError, check_count, check_real
+from .errors import ConfigurationError, ParseError, check_count, check_real, read_text
 from .models import GeneralGMM, IsotropicGMM, _as_readonly, _centre, _matrix_of, model_to_snapshot
 
 GENERATOR_KINDS = ("grid", "uniform", "explicit-gmm")
@@ -249,14 +249,14 @@ def _row_loop(rows, lineno, width):
 
 def load_csv(path):
     """Parse a CSV of points; a first row that is not all finite numbers is
-    treated as a header.  A UTF-8 byte-order mark at the start of the data
-    or the labels file is dropped.
+    treated as a header.  The data and the labels file are read by
+    ``errors.read_text``.
 
     All data rows go through one ``np.loadtxt`` call (``_loadtxt``); only
     a file it cannot read exactly as the row loop would runs the row loop,
     so every ``ParseError`` names the first bad line.
     """
-    text = Path(path).read_text(encoding="utf-8-sig")
+    text = read_text(path)
     lines = text.split("\n")
     while lines and lines[-1] == "":
         lines.pop()
@@ -277,7 +277,7 @@ def load_csv(path):
     labels = None
     lpath = _labels_path(path)
     if lpath.exists():
-        raw = [ln for ln in lpath.read_text(encoding="utf-8-sig").split("\n") if ln != ""]
+        raw = [ln for ln in read_text(lpath).split("\n") if ln != ""]
         try:
             labels = np.array([int(v) for v in raw], dtype=np.int64)
         except ValueError as exc:

@@ -1,17 +1,25 @@
-"""Exception types shared across the package, and the two scalar checks.
+"""Exception types shared across the package, the two scalar checks, and
+the one reader of input files.
 
-Every scalar field is stored through one of the two, so each kind of
-scalar has one rule and one message:
+Every scalar field is stored through one of the two checks, so each kind
+of scalar has one rule and one message:
 
 * a count goes through ``check_count``: an integer (Python or numpy, not a
   bool) of at least a stated bound, stored as a plain ``int``;
 * a real goes through ``check_real``: a real number (Python or numpy, not a
   bool) that is ``>= 0`` (``inf`` allowed), or ``> 0`` and finite when
-  ``positive``, stored as a plain ``float``.  NaN fails both forms.
+  ``positive``, stored as a plain ``float``.  NaN fails both forms, and an
+  integer too large for a float counts as the infinity of its sign
+  (``as_float``), as ``1e400`` does.
+
+Every input file (a data CSV, its labels, a model snapshot, a trace) is
+decoded by ``read_text``, so all four take the same text and a file that
+is not UTF-8 is a ``ParseError`` naming it.
 """
 
 import math
 import numbers
+from pathlib import Path
 
 
 class ConfigurationError(ValueError):
@@ -19,7 +27,8 @@ class ConfigurationError(ValueError):
 
 
 class ParseError(ValueError):
-    """Malformed input file; the message names the offending line."""
+    """Malformed input file; the message names the file, the offending line
+    or both."""
 
 
 class NumericError(ArithmeticError):
@@ -47,10 +56,34 @@ def check_count(name, value, low):
 def check_real(name, value, positive=False):
     """``value`` as a plain ``float``; raises ``ConfigurationError`` unless it
     is a real number (a Python or numpy one, not a bool) that is ``>= 0``,
-    ``inf`` included, or, when ``positive``, ``> 0`` and finite.  Every
-    real-valued field is stored through it."""
+    ``inf`` included, or, when ``positive``, ``> 0`` and finite, once
+    ``as_float`` has made it a float.  Every real-valued field is stored
+    through it."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (real and (0 < value < math.inf if positive else value >= 0)):
+    number = as_float(value) if real else math.nan
+    if not (0 < number < math.inf if positive else number >= 0):
         rule = "positive and finite" if positive else ">= 0"
         raise ConfigurationError(f"{name} must be {rule}, got {value!r}")
-    return float(value)
+    return number
+
+
+def as_float(value):
+    """``float(value)``, except that an integer too large for a float is
+    the infinity of its sign, as the literal ``1e400`` is, so that each
+    field's finiteness check names it."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def read_text(path):
+    """The text of the file at ``path``, decoded as UTF-8 with a leading
+    byte-order mark dropped: the one reader of every input file.  Bytes that
+    are not UTF-8 raise ``ParseError`` naming the file and the first bad
+    byte."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return text.removeprefix("\ufeff")

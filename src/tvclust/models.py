@@ -24,12 +24,21 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError, ParseError, check_count, check_real
+from .errors import (
+    ConfigurationError,
+    NumericError,
+    ParseError,
+    as_float,
+    check_count,
+    check_real,
+    read_text,
+)
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -51,10 +60,19 @@ def logsumexp(a, axis=-1):
     return out + np.squeeze(amax, axis=axis)
 
 
+def _floats(arr):
+    """``arr`` as a float64 array, not copied when it is one.  An integer
+    too large for a float is the infinity of its sign (``as_float``), so a
+    field's finiteness check names it as it names ``1e400``."""
+    try:
+        return np.asarray(arr, dtype=np.float64)
+    except OverflowError:
+        return np.asarray(np.frompyfunc(as_float, 1, 1)(np.asarray(arr, dtype=object)), np.float64)
+
+
 def _points_of(dataset):
     """Accept either a Dataset or a raw array of points (1-D means D = 1)."""
-    points = getattr(dataset, "points", dataset)
-    points = np.asarray(points, dtype=np.float64)
+    points = _floats(getattr(dataset, "points", dataset))
     if points.ndim == 1:
         points = points[:, None]
     return points
@@ -127,7 +145,7 @@ def _as_readonly(arr, dtype=np.float64, order="C"):
     and its posteriors keep the layout they were built in (``"K"``), so
     that each per-point reduction over a truncation set runs as C' passes
     over N."""
-    out = np.array(arr, dtype=dtype, order=order)
+    out = np.array(_floats(arr) if dtype is np.float64 else arr, dtype=dtype, order=order)
     out.setflags(write=False)
     return out
 
@@ -173,7 +191,10 @@ class IsotropicGMM(_Mixture):
 
     def __post_init__(self):
         object.__setattr__(self, "means", _matrix_of(self.means, "means", "C"))
-        object.__setattr__(self, "sigma2", check_real("sigma2", float(self.sigma2), positive=True))
+        sigma2 = self.sigma2
+        if not isinstance(sigma2, (numbers.Number, np.bool_)):
+            sigma2 = float(sigma2)  # a snapshot's non-number stays a parse error
+        object.__setattr__(self, "sigma2", check_real("sigma2", sigma2, positive=True))
 
 
 @dataclass(frozen=True)
@@ -393,8 +414,8 @@ def load_model(path):
     """The model in a snapshot file.  A file that is not a snapshot raises
     ``ParseError``; a snapshot of an invalid model, ``ConfigurationError``."""
     try:
-        return model_from_snapshot(json.loads(Path(path).read_text(encoding="utf-8")))
-    except ConfigurationError:
+        return model_from_snapshot(json.loads(read_text(path)))
+    except (ConfigurationError, ParseError):
         raise
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
         raise ParseError(f"{path}: not a model snapshot: {exc!r}") from None

@@ -7,6 +7,7 @@ from tvclust.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from conftest import count_calls
 
 NAN = float("nan")
+HUGE = 10**400  # an integer too large for a float
 GENERAL = {"kind": "general", "means": [[0.0, 0.0]], "weights": [1.0],
            "covs": [[[1.0, 0.0], [0.0, 1.0]]]}
 
@@ -118,6 +119,14 @@ class TestFit:
         )
         assert code == EXIT_IO
 
+    def test_non_utf8_csv_is_io_error(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"x,y\n0,1\n\xe9,2\n")
+        code = main(["fit", "--data", str(bad), "--algorithm", "kmeans", "--c", "2"])
+        err = capsys.readouterr().err
+        assert code == EXIT_IO
+        assert err == f"parse error: {bad}: not UTF-8 text (invalid continuation byte at byte 8)\n"
+
     def test_invalid_parameter_combination_is_config_error(self, tmp_path):
         data = _generate(tmp_path)
         code = main(
@@ -149,17 +158,21 @@ class TestFit:
             ("0\n1\nx\n", "invalid literal"),
             ("0\n1\n", "2 labels for 80 points"),
             ("0\n" * 79 + "-1\n", "negative label -1"),
+            (b"0\n\xff\n", "not UTF-8 text (invalid start byte at byte 2)"),
         ],
-        ids=["non_integer", "wrong_count", "negative"],
+        ids=["non_integer", "wrong_count", "negative", "not_utf8"],
     )
     def test_bad_labels_file_is_io_error(self, tmp_path, capsys, labels, words):
         data = _generate(tmp_path)
-        (tmp_path / "data.csv.labels").write_text(labels)
+        path = tmp_path / "data.csv.labels"
+        path.write_bytes(labels if isinstance(labels, bytes) else labels.encode())
         capsys.readouterr()
         code = main(["fit", "--data", str(data), "--algorithm", "kmeans", "--c", "4"])
         err = capsys.readouterr().err
         assert code == EXIT_IO
-        assert err.startswith("parse error: labels file") and words in err
+        # the reader's own decode error names the file without the prefix
+        prefix = "" if isinstance(labels, bytes) else "labels file "
+        assert err.startswith(f"parse error: {prefix}{path}: ") and words in err
         assert "Traceback" not in err
 
     def test_argparse_rejects_unknown_algorithm(self, tmp_path):
@@ -237,10 +250,15 @@ class TestAudit:
         capsys.readouterr()
         code = main(["audit", "--data", str(data), "--model", str(model_path)])
         assert code == EXIT_OK
-        report = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        report = json.loads(out)
         assert report["kind"] == "iso"
         assert report["L"] >= report["F"] - 1e-10
         assert report["gap"] >= -1e-10
+        # a byte-order mark before the snapshot changes nothing
+        model_path.write_bytes(b"\xef\xbb\xbf" + model_path.read_bytes())
+        assert main(["audit", "--data", str(data), "--model", str(model_path)]) == EXIT_OK
+        assert capsys.readouterr().out == out
 
     def test_audit_general_model(self, tmp_path, capsys):
         data = _generate(tmp_path)
@@ -310,15 +328,23 @@ class TestAudit:
             "{not json",
             '{"kind": "iso", "sigma2": 1.0}',
             '{"kind": "iso", "means": [[0.0]], "sigma2": "x"}',
+            pytest.param(b'{"kind": "iso", "means": [[0.0]], "sigma2": "\xff"}', id="not_utf8"),
+            pytest.param("[" * 100_000, id="deeply_nested"),
         ],
     )
     def test_malformed_model_is_io_error(self, tmp_path, capsys, text):
         data = _generate(tmp_path)
         model_path = tmp_path / "model.json"
-        model_path.write_text(text)
+        model_path.write_bytes(text if isinstance(text, bytes) else text.encode())
         code = main(["audit", "--data", str(data), "--model", str(model_path)])
         assert code == EXIT_IO
-        assert "parse error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "parse error" in err
+        assert err.startswith(f"parse error: {model_path}: ") and "Traceback" not in err
+        if isinstance(text, bytes):
+            at = text.index(b"\xff")
+            words = f"not UTF-8 text (invalid start byte at byte {at})"
+            assert err == f"parse error: {model_path}: {words}\n"
 
     @pytest.mark.parametrize(
         "snapshot,names",
@@ -391,10 +417,18 @@ class TestAudit:
             (dict(GENERAL, means=5), "non-empty C x D matrix"),
             (dict(GENERAL, means=[[[0.0, 0.0]]]), "non-empty C x D matrix"),
             (dict(GENERAL, means=[]), "non-empty C x D matrix"),
+            ({"kind": "iso", "means": [[HUGE, 0.0]], "sigma2": 1.0}, "means must be finite"),
+            ({"kind": "iso", "means": [[0.0, 0.0]], "sigma2": HUGE},
+             "sigma2 must be positive and finite"),
+            (dict(GENERAL, weights=[HUGE]), "weights must be nonnegative and finite"),
+            (dict(GENERAL, covs=[[[HUGE, 0.0], [0.0, 1.0]]]), "error: covs must be finite"),
+            ({"kind": "iso", "means": [[0.0, 0.0]], "sigma2": True},
+             "sigma2 must be positive and finite, got True"),
         ],
         ids=["iso_empty_means", "iso_nan_means", "general_covs_2d", "general_c_mismatch",
              "general_negative_weight", "general_nan_cov", "general_scalar_means",
-             "general_3d_means", "general_empty_means"],
+             "general_3d_means", "general_empty_means", "iso_huge_means", "iso_huge_sigma2",
+             "general_huge_weight", "general_huge_cov", "iso_bool_sigma2"],
     )
     def test_invalid_model_message(self, tmp_path, capsys, snapshot, words):
         data = _generate(tmp_path)  # 2-D points

@@ -28,6 +28,8 @@ class TestDataset:
             Dataset([[0.0], [np.nan]])
         with pytest.raises(ConfigurationError):
             Dataset([[np.inf, 0.0]])
+        with pytest.raises(ConfigurationError, match="^points must be finite$"):
+            Dataset([[10**400, 1.0]])
 
     def test_rejects_empty(self):
         with pytest.raises(ConfigurationError):

@@ -1,6 +1,8 @@
 import json
 import math
+import numbers
 import os
+import re
 from unittest import mock
 
 import numpy as np
@@ -185,26 +187,28 @@ SCALAR_FIELDS = {
     ),
 }
 
-_NOT_NUMBERS = ["0.5", None, True, False, 1 + 0j]
+_NOT_NUMBERS = ["0.5", None, True, False, 1 + 0j, 1j, np.True_]
 _RULE_BAD = {
     "count": [math.nan, -1, -math.inf, math.inf, 2.5],
     "count1": [math.nan, -1, -math.inf, math.inf, 2.5, 0],
     "real": [math.nan, -1.0, -math.inf],
-    "positive": [math.nan, -1.0, -math.inf, 0.0, math.inf],
+    "positive": [math.nan, -1.0, -math.inf, 0.0, math.inf, 10**400],
 }
 
 # None leaves these two fields to their default, a uniform first center and
 # 4 * gen_sigma, so it is not a bad value there.
 _NONE_IS_DEFAULT = ("GeneratorSpec.spacing", "seed_dsquared.initial")
-# sigma2 goes through float() first, so that a snapshot's non-number
-# "sigma2" stays a parse error (float's own ValueError or TypeError); only
-# numbers reach its check, so only numbers are drawn for it.
+# sigma2 goes through float() unless it is a number (a bool or a complex
+# one included), so that a snapshot's non-number "sigma2" stays a parse
+# error (float's own ValueError or TypeError); only numbers reach its check,
+# so only numbers are drawn for it.
 _NUMBERS_ONLY = ("IsotropicGMM.sigma2",)
 _BAD_CASES = [
     (field, bad)
     for field, (rule, _, _, beyond) in SCALAR_FIELDS.items()
-    for bad in (_NOT_NUMBERS if field not in _NUMBERS_ONLY else []) + _RULE_BAD[rule] + beyond
+    for bad in _NOT_NUMBERS + _RULE_BAD[rule] + beyond
     if not (bad is None and field in _NONE_IS_DEFAULT)
+    and (field not in _NUMBERS_ONLY or isinstance(bad, (numbers.Number, np.bool_)))
 ]
 
 
@@ -220,6 +224,8 @@ class TestScalarFields:
         plain = int if rule.startswith("count") else float
         stored = store((np.int32 if plain is int else np.float32)(ok))
         assert stored is None or (type(stored) is plain and stored == ok)
+        if rule == "real":  # an integer too large for a float is inf, as 1e400 is
+            assert store(10**400) in (None, math.inf)
 
 
 class TestEmit:
@@ -234,6 +240,8 @@ class TestEmit:
         assert len(back) == 2
         for a, b in zip(records, back):
             assert a.to_dict() == b.to_dict()
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())  # a byte-order mark is dropped
+        assert [r.to_dict() for r in load_trace(path)] == [r.to_dict() for r in back]
 
     def test_empty_events_serialize_as_list(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -245,12 +253,19 @@ class TestEmit:
         '{"iter": 1, "J": 1.0, "L": 0.0, "gap": 0.0, "sigma2": 1.0, "n_changed": 0}',
         '{"iter": 1, "J": 1.0,',
         '{"iter": 1, "J": "x", "F": 0.0, "L": 0.0, "gap": 0.0, "sigma2": 1.0, "n_changed": 0}',
-    ], ids=["missing field", "not JSON", "not a number"])
+        b'{"iter": 1, "J": "\xff"}',
+        "[" * 100_000,
+    ], ids=["missing field", "not JSON", "not a number", "not UTF-8", "deeply nested"])
     def test_malformed_line_is_a_parse_error(self, tmp_path, bad):
         path = tmp_path / "trace.jsonl"
         emit([TraceRecord(0, 1.0, 0.0, 0.0, 0.0, 1.0, 4, [])], path)
-        path.write_text(path.read_text() + bad + "\n")
-        with pytest.raises(ParseError, match=r"trace.jsonl: line 2: not a trace record"):
+        good = path.read_bytes()
+        path.write_bytes(good + (bad if isinstance(bad, bytes) else bad.encode()) + b"\n")
+        words = r"line 2: not a trace record"
+        if isinstance(bad, bytes):  # the file is decoded whole: its bad byte is named, not a line
+            at = len(good) + bad.index(b"\xff")
+            words = re.escape(f"not UTF-8 text (invalid start byte at byte {at})")
+        with pytest.raises(ParseError, match=r"trace.jsonl: " + words):
             load_trace(path)
 
     def test_summary_written_as_json_object(self, tmp_path):
