@@ -63,7 +63,9 @@ def logsumexp(a, axis=-1):
 def _floats(arr):
     """``arr`` as a float64 array, not copied when it is one.  An integer
     too large for a float is the infinity of its sign (``as_float``), so a
-    field's finiteness check names it as it names ``1e400``."""
+    field's finiteness check names it as it names ``1e400``.  Applied where
+    input enters a dataset or model (``_matrix_of``, a general model's
+    weights and covariances), not to the arrays a fit passes around."""
     try:
         return np.asarray(arr, dtype=np.float64)
     except OverflowError:
@@ -72,7 +74,7 @@ def _floats(arr):
 
 def _points_of(dataset):
     """Accept either a Dataset or a raw array of points (1-D means D = 1)."""
-    points = _floats(getattr(dataset, "points", dataset))
+    points = np.asarray(getattr(dataset, "points", dataset), dtype=np.float64)
     if points.ndim == 1:
         points = points[:, None]
     return points
@@ -145,7 +147,7 @@ def _as_readonly(arr, dtype=np.float64, order="C"):
     and its posteriors keep the layout they were built in (``"K"``), so
     that each per-point reduction over a truncation set runs as C' passes
     over N."""
-    out = np.array(_floats(arr) if dtype is np.float64 else arr, dtype=dtype, order=order)
+    out = np.array(arr, dtype=dtype, order=order)
     out.setflags(write=False)
     return out
 
@@ -164,7 +166,8 @@ def _matrix_of(arr, name, rows):
     raises ``ConfigurationError`` unless it is non-empty (``_shaped``) and
     finite.  The one check of a dataset's points and of either family's
     means."""
-    out = _shaped(_as_readonly(_points_of(arr)), name, rows)
+    points = _floats(getattr(arr, "points", arr))
+    out = _shaped(_as_readonly(_points_of(points)), name, rows)
     if not np.all(np.isfinite(out)):
         raise ConfigurationError(f"{name} must be finite")
     return out
@@ -207,8 +210,8 @@ class GeneralGMM(_Mixture):
 
     def __post_init__(self):
         object.__setattr__(self, "means", _matrix_of(self.means, "means", "C"))
-        weights = _as_readonly(np.atleast_1d(self.weights))
-        covs = _as_readonly(self.covs)
+        weights = _as_readonly(_floats(np.atleast_1d(self.weights)))
+        covs = _as_readonly(_floats(self.covs))
         if covs.ndim != 3 or covs.shape[1] != covs.shape[2]:
             raise ConfigurationError("covs must have shape (C, D, D)")
         if weights.shape != (self.c,) or covs.shape != (self.c, self.d, self.d):
